@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations
 
 from .dsl import ParseError, render_expr
-from .kernel import JetcalcError, Poly, UnknownName
-from .modelfile import ModelFile, load_model
-from .poisson import (EntryNotOrderZero, NonSkew, PoissonReport, cyclic_sum,
-                      jacobiator, l2_density)
+from .kernel import UnknownName
+from .modelfile import load_model
+from .poisson import EntryNotOrderZero, NonSkew, check_poisson_tensor, jacobiator, l2_density
 from .shlie import check_shlie_relations, l3
 from .sigma import NotOrthogonal, check_lagrangian_invariance, sigma_euler_check
 from .symmetry import (PreconditionFailed, check_canonical_density,
@@ -63,7 +61,7 @@ class _Outcome:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def emit(self, as_json: bool):
+    def render(self, as_json: bool) -> str:
         if as_json:
             payload = {
                 "command": self.command,
@@ -71,14 +69,15 @@ class _Outcome:
                 "results": [{"name": n, "expression": e} for n, e in self.results],
                 "residuals": [{"location": l, "expression": e} for l, e in self.residuals],
             }
-            print(json.dumps(payload))
-            return
+            return json.dumps(payload) + "\n"
+        lines = []
         if self.style == "check":
-            print("pass" if self.passed else "fail")
+            lines.append("pass" if self.passed else "fail")
         for name, expression in self.results:
-            print(expression if self.style == "bare" else f"{name} = {expression}")
+            lines.append(expression if self.style == "bare" else f"{name} = {expression}")
         for location, expression in self.residuals:
-            print(f"{location}: {expression}")
+            lines.append(f"{location}: {expression}")
+        return "".join(line + "\n" for line in lines)
 
 
 def _expression_outcome(command: str, expressions: list[tuple[str, str]],
@@ -138,8 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "operators, bracket densities, homotopy corrections and "
                     "symmetry checks over model files.")
     parser.add_argument("--json", action="store_true", help="emit the JSON report shape")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="evaluate independent checks on N threads")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name, *fields, help=None):
@@ -240,7 +237,7 @@ def _run_command(args) -> _Outcome:
 
     if args.kind == "poisson":
         omega = model.require_omega()
-        report = _poisson_report(omega, args.jobs)
+        report = check_poisson_tensor(omega)
         out = _check_outcome(command, report.passed)
         for a, b, c, residual in report.failures:
             out.residual(f"({a},{b},{c})", render_expr(residual))
@@ -332,20 +329,6 @@ def _run_command(args) -> _Outcome:
     raise ValueError(f"unhandled command {command!r}")
 
 
-def _poisson_report(omega, jobs: int) -> PoissonReport:
-    ctx = omega.ctx
-    triples = list(combinations(range(ctx.m), 3))
-    if jobs > 1 and len(triples) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            residuals = list(pool.map(lambda t: cyclic_sum(omega, *t), triples))
-    else:
-        residuals = [cyclic_sum(omega, *t) for t in triples]
-    failures = tuple(
-        (ctx.fibers[a], ctx.fibers[b], ctx.fibers[c], residual)
-        for (a, b, c), residual in zip(triples, residuals) if not residual.is_zero)
-    return PoissonReport(passed=not failures, failures=failures)
-
-
 _VALIDATION_ERRORS = (ParseError, UnknownName, NonSkew, EntryNotOrderZero,
                       NotOrthogonal, DegreeError, Unsupported, PreconditionFailed,
                       ValueError, OSError)
@@ -365,26 +348,36 @@ def run(argv: list[str]) -> int:
         return _emit_error(command, str(exc), args.json, 1)
     except _VALIDATION_ERRORS as exc:
         return _emit_error(command, str(exc), args.json, 2)
-    outcome.emit(args.json)
+    _write_stdout(outcome.render(args.json))
     return outcome.exit_code
 
 
 def _emit_error(command: str, message: str, as_json: bool, code: int) -> int:
     if as_json:
-        payload = {
-            "command": command,
-            "pass": False,
-            "results": [],
-            "residuals": [{"location": "error", "expression": message}],
-        }
-        print(json.dumps(payload))
+        out = _check_outcome(command, False)
+        out.residual("error", message)
+        _write_stdout(out.render(as_json))
     else:
         print(f"error: {message}", file=sys.stderr)
     return code
 
 
+def _write_stdout(text: str = "") -> None:
+    """Write and flush stdout; if the reader closed the pipe early, point stdout
+    at os.devnull so the exit flush stays quiet and the exit status stands."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    _write_stdout()  # argparse's --help text is still buffered
+    sys.exit(code)
 
 
 if __name__ == "__main__":

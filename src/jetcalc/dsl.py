@@ -5,7 +5,7 @@ Grammar (whitespace insignificant)::
     expr     := term (("+" | "-") term)*
     term     := factor ("*" factor)*
     factor   := "-" factor | primary ("^" posint)?
-    primary  := rational | name | "(" expr ")"
+    primary  := rational | name | "(" expr ")"     (at most MAX_NESTING deep)
     rational := int ("/" posint)?
 
 Names resolve against a :class:`~jetcalc.kernel.BundleSpec`: a bare identifier
@@ -81,11 +81,17 @@ def _resolve_name(name: str, pos: int, ctx: BundleSpec) -> Generator:
     return Generator.jet(ctx.fiber_index(stem), MultiIndex(entries))
 
 
+# Each nesting level costs four Python frames (expr, term, factor, primary),
+# so this bound keeps the recursive descent far below the interpreter's limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, ctx: BundleSpec):
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -130,16 +136,15 @@ class _Parser:
                 return p
 
     def factor(self) -> Poly:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return -self.factor()
+            negate = not negate
         p = self.primary()
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
+        if self.peek()[:2] == ("op", "^"):
             self.advance()
             p = p ** self.posint()
-        return p
+        return -p if negate else p
 
     def posint(self) -> int:
         kind, text, pos = self.peek()
@@ -161,8 +166,12 @@ class _Parser:
             g = _resolve_name(text, pos, self.ctx)
             return Poly.generator(self.ctx, g)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
@@ -170,10 +179,6 @@ class _Parser:
 def parse_expr(text: str, ctx: BundleSpec) -> Poly:
     """Parse an expression over the chart's names into a canonical Poly."""
     return _Parser(text, ctx).parse()
-
-
-def render_generator(g: Generator, ctx: BundleSpec) -> str:
-    return g.name(ctx)
 
 
 def _render_monomial(mono: Monomial, ctx: BundleSpec) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import BundleSpec, Generator, JetcalcError, Poly
+from .kernel import BundleSpec, JetcalcError, Poly
 from .varcalc import euler, is_divergence
 
 
@@ -78,13 +78,14 @@ class PoissonReport:
 
 
 def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
-    ctx = omega.ctx
-    total = Poly.zero(ctx)
-    for d in range(ctx.m):
-        du = Generator.jet(d)
-        total = total + omega.entry(c, d) * omega.entry(a, b).partial(du)
-        total = total + omega.entry(a, d) * omega.entry(b, c).partial(du)
-        total = total + omega.entry(b, d) * omega.entry(c, a).partial(du)
+    """The cyclic sum at (a, b, c), over only the nonzero summands
+    omega^{zd} d(omega^{xy})/du^d: the u^d that omega^{xy} contains."""
+    total = Poly.zero(omega.ctx)
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        entry = omega.entry(x, y)
+        for g in entry.generators():
+            if g.is_jet and not g.order and omega.entry(z, g.pos):
+                total = total + omega.entry(z, g.pos) * entry.partial(g)
     return total
 
 

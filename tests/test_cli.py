@@ -38,6 +38,13 @@ SIGMA_MODEL = textwrap.dedent("""\
     sigma { n = 3; w = [[0, u3, -u2], [-u3, 0, u1], [u2, -u1, 0]] }
 """)
 
+SIGMA_RESIDUALS = (
+    ("(u1,w10,w20)", "-u2"), ("(u1,w10,w30)", "-u3"), ("(u1,w11,w21)", "-u2"),
+    ("(u1,w11,w31)", "-u3"), ("(u2,w10,w20)", "u1"), ("(u2,w20,w30)", "-u3"),
+    ("(u2,w11,w21)", "u1"), ("(u2,w21,w31)", "-u3"), ("(u3,w10,w30)", "u1"),
+    ("(u3,w20,w30)", "u2"), ("(u3,w11,w31)", "u1"), ("(u3,w21,w31)", "u2"),
+)
+
 ROT3 = "[[3/5, 4/5, 0], [-4/5, 3/5, 0], [0, 0, 1]]"
 REFLECT3 = "[[1, 0, 0], [0, -1, 0], [0, 0, 1]]"
 
@@ -132,11 +139,21 @@ class TestChecks:
         assert code == 1
         assert out == "fail\n(u1,u2,u3): u1\n"
 
-    def test_poisson_jobs_equivalent(self, invoke, models):
-        sequential = invoke("check", "poisson", models["sigma"])
-        threaded = invoke("--jobs", "4", "check", "poisson", models["sigma"])
-        assert sequential == threaded
-        assert sequential[0] == 1
+    def test_poisson_sigma_residuals(self, invoke, models):
+        code, out, _ = invoke("check", "poisson", models["sigma"])
+        assert code == 1
+        assert out == "fail\n" + "".join(f"{loc}: {expr}\n" for loc, expr in SIGMA_RESIDUALS)
+        code, out, _ = invoke("--json", "check", "poisson", models["sigma"])
+        assert code == 1
+        assert out == json.dumps({
+            "command": "check poisson",
+            "pass": False,
+            "results": [],
+            "residuals": [{"location": loc, "expression": expr}
+                          for loc, expr in SIGMA_RESIDUALS],
+        }) + "\n"
+        # the thread-pool option is gone; argparse reads it as a usage error
+        assert invoke("--jobs", "4", "check", "poisson", models["sigma"])[0] == 2
 
     def test_covariance(self, invoke, models):
         assert invoke("check", "covariance", models["std"], "Rot90")[:2] == (0, "pass\n")
@@ -264,6 +281,17 @@ class TestExitCodes:
     def test_help_exits_zero(self, invoke):
         assert invoke("--help")[0] == 0
 
+    def test_long_unary_minus_run(self, invoke, tmp_path):
+        path = tmp_path / "minus.jet"
+        path.write_text(PLANE_MODEL + "let P = " + "-" * 3000 + "u1*u2\n", encoding="utf-8")
+        code, out, _ = invoke("euler", str(path), "P")
+        assert (code, out) == (0, "E[u1] = u2\nE[u2] = u1\n")
+
+    def test_deep_parentheses_rejected(self, invoke, models):
+        code, out, err = invoke("euler", models["std"], "(" * 1200 + "u1" + ")" * 1200)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses nested deeper than")
+
 
 class TestEntryPoint:
     def test_installed_script(self, models):
@@ -272,3 +300,18 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "E[u1] = u2_x\nE[u2] = -u1_x\n"
+
+    def test_reader_closing_pipe_early(self, tmp_path):
+        # E[u2] is one line of about 200 kB, far more than a pipe buffers, so
+        # the writer is still writing when the reader goes away
+        terms = " + ".join(f"{10**2000}*u2^{k}" for k in range(1, 100))
+        path = tmp_path / "long.jet"
+        path.write_text(PLANE_MODEL + f"let L = {terms}\n", encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jetcalc.cli", "euler", str(path), "L"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"E[u1] = 0\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""

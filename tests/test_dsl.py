@@ -14,6 +14,7 @@ from jetcalc import (
     parse_expr,
     render_expr,
 )
+from jetcalc.dsl import MAX_NESTING
 
 import helpers
 
@@ -80,6 +81,28 @@ class TestParseErrors:
     def test_double_star_rejected(self, ctx1):
         with pytest.raises(ParseError):
             parse_expr("u1 ** 2", ctx1)
+
+    def test_nesting_bound(self, ctx1):
+        u1 = parse_expr("u1", ctx1)
+        deepest = "(" * MAX_NESTING + "u1" + ")" * MAX_NESTING
+        assert parse_expr(deepest, ctx1) == u1
+        for depth in (MAX_NESTING + 1, 1200):
+            with pytest.raises(ParseError) as err:
+                parse_expr("(" * depth + "u1" + ")" * depth, ctx1)
+            assert err.value.position == MAX_NESTING
+
+
+class TestUnaryMinus:
+    def test_long_runs(self, ctx1):
+        u1 = parse_expr("u1", ctx1)
+        assert parse_expr("-" * 3000 + "u1", ctx1) == u1
+        assert parse_expr("-" * 3001 + "u1", ctx1) == -u1
+        assert parse_expr("2 * " + "-" * 5 + "u1", ctx1) == u1 * -2
+
+    def test_binds_looser_than_power(self, ctx1):
+        assert parse_expr("-u1^2", ctx1) == -parse_expr("u1^2", ctx1)
+        assert parse_expr("--u1^2", ctx1) == parse_expr("u1^2", ctx1)
+        assert parse_expr("(-u1)^3", ctx1) == -parse_expr("u1^3", ctx1)
 
 
 class TestUnknownNames:

@@ -4,10 +4,14 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jetcalc import (
+    BundleSpec,
     EntryNotOrderZero,
     FunctionalClass,
+    Generator,
+    Monomial,
     NonSkew,
     OmegaSpec,
     Poly,
@@ -21,6 +25,7 @@ from jetcalc import (
     total_derivative,
     validate_omega,
 )
+from jetcalc.sigma import SigmaModelSpec, build_sigma, sigma_bundle
 
 import helpers
 
@@ -108,6 +113,84 @@ class TestPoissonCheck:
             base = cyclic_sum(omega, 0, 1, 2)
             for perm in permutations((0, 1, 2)):
                 assert cyclic_sum(omega, *perm) == base * sign[perm]
+
+
+def dense_cyclic_sum(omega, a, b, c):
+    """The cyclic condition summed over every fiber d, zeros included: the
+    oracle for the sparse `cyclic_sum`."""
+    ctx = omega.ctx
+    total = Poly.zero(ctx)
+    for d in range(ctx.m):
+        du = Generator.jet(d)
+        total = total + omega.entry(c, d) * omega.entry(a, b).partial(du)
+        total = total + omega.entry(a, d) * omega.entry(b, c).partial(du)
+        total = total + omega.entry(b, d) * omega.entry(c, a).partial(du)
+    return total
+
+
+@st.composite
+def entry_polys(draw, ctx, gens):
+    """Zero, constant, affine or quadratic in `gens`, with small coefficients."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(0, 2))
+        mono = Monomial((draw(st.sampled_from(gens)), 1) for _ in range(degree))
+        terms.append((mono, draw(st.sampled_from((-2, -1, 1, 2, Fraction(1, 2))))))
+    return Poly.from_terms(ctx, terms)
+
+
+def skew_rows(ctx, size, upper):
+    """A size x size skew matrix from its entries above the diagonal."""
+    zero = Poly.zero(ctx)
+    rows = [[zero] * size for _ in range(size)]
+    for (a, b), entry in upper.items():
+        rows[a][b], rows[b][a] = entry, -entry
+    return tuple(tuple(row) for row in rows)
+
+
+@st.composite
+def generic_omegas(draw):
+    """Dense skew matrices over 3 to 5 fibers; entries may use a parameter."""
+    m = draw(st.integers(3, 5))
+    ctx = BundleSpec(("x",), tuple(f"u{a + 1}" for a in range(m)), ("k",))
+    gens = [Generator.jet(a) for a in range(m)] + [Generator.param(0)]
+    upper = {(a, b): draw(entry_polys(ctx, gens)) for a in range(m) for b in range(a + 1, m)}
+    return OmegaSpec(ctx, skew_rows(ctx, m, upper))
+
+
+@st.composite
+def sigma_omegas(draw):
+    """Block-diagonal sigma structures generated from a 2x2 or 3x3 W."""
+    n = draw(st.integers(2, 3))
+    ctx = sigma_bundle(n)
+    gens = [Generator.jet(a) for a in range(n)]
+    upper = {(a, b): draw(entry_polys(ctx, gens)) for a in range(n) for b in range(a + 1, n)}
+    return build_sigma(SigmaModelSpec(n, skew_rows(ctx, n, upper), ctx))[1]
+
+
+def _so3_sigma():
+    return build_sigma(SigmaModelSpec.from_strings(
+        3, (("0", "u3", "-u2"), ("-u3", "0", "u1"), ("u2", "-u1", "0"))))[1]
+
+
+class TestCyclicSumOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(generic_omegas(), sigma_omegas()))
+    @example(_so3_sigma())
+    def test_matches_dense_formula(self, omega):
+        m = omega.ctx.m
+        fibers = omega.ctx.fibers
+        expected_failures = []
+        for a in range(m):
+            for b in range(m):
+                for c in range(m):
+                    expected = dense_cyclic_sum(omega, a, b, c)
+                    assert cyclic_sum(omega, a, b, c) == expected
+                    if a < b < c and not expected.is_zero:
+                        expected_failures.append((fibers[a], fibers[b], fibers[c], expected))
+        report = check_poisson_tensor(omega)
+        assert report.failures == tuple(expected_failures)
+        assert report.passed == (not expected_failures)
 
 
 class TestBracketDensity:
