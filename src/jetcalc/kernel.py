@@ -259,6 +259,15 @@ class Monomial:
         self.powers = tuple(sorted(merged.items(), key=lambda p: p[0]._key))
         self._hash = hash(self.powers)
 
+    @classmethod
+    def _canonical(cls, powers: tuple[tuple[Generator, int], ...]) -> "Monomial":
+        """Wrap a power tuple that is already sorted by generator key, merged
+        and free of zero exponents, without re-validating it."""
+        mono = object.__new__(cls)
+        mono.powers = powers
+        mono._hash = hash(powers)
+        return mono
+
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.powers)
@@ -268,8 +277,9 @@ class Monomial:
         return not self.powers
 
     def exponent(self, g: Generator) -> int:
+        key = g._key
         for h, e in self.powers:
-            if h == g:
+            if h._key == key:
                 return e
         return 0
 
@@ -277,13 +287,39 @@ class Monomial:
         return (g for g, _ in self.powers)
 
     def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.powers + other.powers)
+        a, b = self.powers, other.powers
+        if not b:
+            return self
+        if not a:
+            return other
+        # Both factors are sorted: one merge by generator key keeps them so.
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            g, e = a[i]
+            h, f = b[j]
+            if g._key < h._key:
+                out.append(a[i])
+                i += 1
+            elif h._key < g._key:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((g, e + f))
+                i += 1
+                j += 1
+        return Monomial._canonical(tuple(out) + a[i:] + b[j:])
 
     def with_exponent(self, g: Generator, e: int) -> "Monomial":
-        pairs = [(h, k) for h, k in self.powers if h != g]
-        if e:
-            pairs.append((g, e))
-        return Monomial(pairs)
+        if e < 0:
+            raise ValueError("negative exponent")
+        key, powers = g._key, self.powers
+        i = 0
+        while i < len(powers) and powers[i][0]._key < key:
+            i += 1
+        rest = i + 1 if i < len(powers) and powers[i][0]._key == key else i
+        middle = ((g, e),) if e else ()
+        return Monomial._canonical(powers[:i] + middle + powers[rest:])
 
     def sort_key(self):
         """Key whose ascending order is descending graded-lex on monomials."""
@@ -302,6 +338,16 @@ class Monomial:
 
 
 UNIT = Monomial()
+
+
+def _accumulate(terms: dict[Monomial, Fraction], mono: Monomial, c: Fraction):
+    """Add c to the coefficient of mono in terms, dropping it if it cancels."""
+    s = terms.get(mono)
+    s = c if s is None else s + c
+    if s:
+        terms[mono] = s
+    else:
+        terms.pop(mono, None)
 
 
 class Poly:
@@ -342,11 +388,7 @@ class Poly:
     def from_terms(cls, ctx: BundleSpec, items: Iterable[tuple[Monomial, Scalar]]) -> "Poly":
         terms: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            c = terms.get(mono, Fraction(0)) + _as_fraction(coeff)
-            if c:
-                terms[mono] = c
-            else:
-                terms.pop(mono, None)
+            _accumulate(terms, mono, _as_fraction(coeff))
         return cls(ctx, terms)
 
     @property
@@ -399,11 +441,7 @@ class Poly:
         self._check_ctx(other)
         terms = dict(self._terms)
         for mono, c in other._terms.items():
-            s = terms.get(mono, Fraction(0)) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+            _accumulate(terms, mono, c)
         return Poly(self.ctx, terms)
 
     __radd__ = __add__
@@ -433,12 +471,7 @@ class Poly:
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = m1.times(m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
+                _accumulate(terms, m1.times(m2), c1 * c2)
         return Poly(self.ctx, terms)
 
     __rmul__ = __mul__
@@ -446,9 +479,14 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Poly.const(self.ctx, 1)
-        for _ in range(exponent):
-            out = out * self
+        out = one = Poly.const(self.ctx, 1)
+        square = self
+        while exponent:
+            if exponent & 1:
+                out = square if out is one else out * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return out
 
     def __eq__(self, other) -> bool:
@@ -473,12 +511,7 @@ class Poly:
             e = mono.exponent(g)
             if not e:
                 continue
-            lower = mono.with_exponent(g, e - 1)
-            s = terms.get(lower, Fraction(0)) + c * e
-            if s:
-                terms[lower] = s
-            else:
-                terms.pop(lower, None)
+            _accumulate(terms, mono.with_exponent(g, e - 1), c * e)
         return Poly(self.ctx, terms)
 
     def substitute(self, mapping: Mapping[Generator, "Poly"]) -> "Poly":
@@ -493,22 +526,27 @@ class Poly:
             if q.ctx != self.ctx:
                 raise ValueError("replacement polynomial over a different chart")
         power_cache: dict[tuple[Generator, int], Poly] = {}
-        result = Poly.zero(self.ctx)
+        one = Poly.const(self.ctx, 1)
+        terms: dict[Monomial, Fraction] = {}
         for mono, c in self._terms.items():
-            acc = Poly.const(self.ctx, c)
+            fixed = []
+            replaced = one
             for g, e in mono.powers:
                 rep = mapping.get(g)
                 if rep is None:
-                    acc = acc * Poly(self.ctx, {Monomial(((g, e),)): Fraction(1)})
+                    fixed.append((g, e))
                     continue
                 key = (g, e)
                 powered = power_cache.get(key)
                 if powered is None:
                     powered = rep ** e
                     power_cache[key] = powered
-                acc = acc * powered
-            result = result + acc
-        return result
+                replaced = powered if replaced is one else replaced * powered
+            # A subsequence of a canonical power tuple is canonical.
+            head = Monomial._canonical(tuple(fixed))
+            for m, k in replaced._terms.items():
+                _accumulate(terms, head.times(m), c * k)
+        return Poly(self.ctx, terms)
 
     def __str__(self) -> str:
         from .dsl import render_expr

@@ -301,6 +301,14 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "E[u1] = u2_x\nE[u2] = -u1_x\n"
 
+    def test_huge_exponent(self, models):
+        proc = subprocess.run(
+            [sys.executable, "-m", "jetcalc.cli", "euler", models["std"], "u1^3000000*u2_x"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout == ("E[u1] = 3000000*u1^2999999*u2_x\n"
+                               "E[u2] = -3000000*u1^2999999*u1_x\n")
+
     def test_reader_closing_pipe_early(self, tmp_path):
         # E[u2] is one line of about 200 kB, far more than a pipe buffers, so
         # the writer is still writing when the reader goes away

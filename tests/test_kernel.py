@@ -186,6 +186,17 @@ class TestPolyAlgebra:
         with pytest.raises(ValueError):
             (u1 + 1) ** -1
 
+    def test_power_is_repeated_product(self, ctx2):
+        rng = helpers.seeded(12)
+        for _ in range(5):
+            p = helpers.random_poly(rng, ctx2, max_degree=2)
+            product = Poly.const(ctx2, 1)
+            for n in range(13):
+                assert p ** n == product
+                product = product * p
+        assert Poly.zero(ctx2) ** 0 == 1
+        assert Poly.zero(ctx2) ** 3 == 0
+
     def test_cross_chart_arithmetic_rejected(self, ctx1, ctx2):
         with pytest.raises(ValueError):
             Poly.const(ctx1, 1) + Poly.const(ctx2, 1)
@@ -236,6 +247,13 @@ class TestPolyQueries:
         assert p.partial(gen_u(ctx1, 1)) == u1 * u1
         assert p.partial(gen_u(ctx1, 0, 0)).is_zero
 
+    def test_partial_drops_a_vanishing_factor(self, ctx1):
+        x, u1, u2x = Generator.base(0), gen_u(ctx1, 0), gen_u(ctx1, 1, 0)
+        p = Poly.from_terms(ctx1, [(Monomial([(x, 1), (u1, 1), (u2x, 1)]), 3)])
+        [(mono, coeff)] = p.partial(u1).items()
+        assert mono.powers == ((x, 1), (u2x, 1))
+        assert coeff == 3
+
     def test_partials_commute(self, ctx2):
         rng = helpers.seeded(77)
         pool = helpers.generator_pool(ctx2, 2)
@@ -251,6 +269,16 @@ class TestPolyQueries:
         u2 = Poly.generator(ctx1, gen_u(ctx1, 1))
         p = u1 * u1 + u1 * u2
         assert p.substitute({u1g: u2}) == u2 * u2 + u2 * u2
+
+    def test_substitute_keeps_fixed_factors(self, ctx1):
+        x = Poly.generator(ctx1, Generator.base(0))
+        u1g = gen_u(ctx1, 0)
+        u1 = Poly.generator(ctx1, u1g)
+        u2 = Poly.generator(ctx1, gen_u(ctx1, 1))
+        u2x = Poly.generator(ctx1, gen_u(ctx1, 1, 0))
+        p = x * u1 ** 2 * u2x
+        assert str(p.substitute({u1g: u1 + u2})) == (
+            "x*u1^2*u2_x + 2*x*u1*u2*u2_x + x*u2^2*u2_x")
 
     def test_substitute_rejects_other_chart(self, ctx1, ctx2):
         p = Poly.generator(ctx1, gen_u(ctx1, 0))

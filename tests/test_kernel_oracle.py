@@ -1,0 +1,103 @@
+"""Kernel arithmetic against sympy as an independent oracle.
+
+Random polynomials with rational coefficients over a chart with two base
+directions, two fibers and a parameter are multiplied, powered,
+differentiated and substituted by jetcalc and by sympy; the results must agree
+exactly.  Every result is also checked to be in canonical form, and the
+monomial fast paths are compared with the validating constructor.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from jetcalc import BundleSpec, Generator, Monomial, MultiIndex, Poly
+
+import helpers
+
+sympy = pytest.importorskip("sympy")
+
+CTX = BundleSpec(("x", "y"), ("u1", "u2"), ("k",))
+POOL = helpers.generator_pool(CTX, 2, include_params=True)
+SYMBOLS = {g: sympy.Symbol(g.name(CTX)) for g in POOL}
+U1, U2 = Generator.jet(0), Generator.jet(1)
+U1X = Generator.jet(0, MultiIndex((0,)))
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
+
+generators = st.sampled_from(POOL)
+coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+monomials = st.lists(st.tuples(generators, st.integers(1, 3)), max_size=4).map(Monomial)
+
+
+def polys(max_terms=4):
+    return st.lists(st.tuples(monomials, coefficients), max_size=max_terms).map(
+        lambda items: Poly.from_terms(CTX, items))
+
+
+def to_sympy(p: Poly):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(SYMBOLS[g] ** e for g, e in mono.powers))
+        for mono, c in p.items()))
+
+
+def assert_agrees(p: Poly, expected):
+    """p is canonical and equals the sympy expression `expected`."""
+    for mono, c in p.items():
+        assert c
+        assert mono.powers == Monomial(mono.powers).powers
+    assert sympy.expand(to_sympy(p) - expected) == 0
+
+
+class TestKernelOracle:
+    @ORACLE
+    @given(polys(), polys())
+    def test_product(self, p, q):
+        assert_agrees(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
+
+    @ORACLE
+    @given(polys(max_terms=3), st.integers(0, 8))
+    def test_power(self, p, n):
+        assert_agrees(p ** n, sympy.expand(to_sympy(p) ** n))
+
+    @ORACLE
+    @given(polys(), generators)
+    def test_partial(self, p, g):
+        assert_agrees(p.partial(g), sympy.diff(to_sympy(p), SYMBOLS[g]))
+
+    @ORACLE
+    @given(polys(), st.dictionaries(generators, polys(max_terms=3), max_size=3))
+    @example(  # a swap: each replacement mentions the other replaced generator
+        Poly.from_terms(CTX, [(Monomial([(U1, 2), (U2, 1), (U1X, 1)]), 3)]),
+        {U1: Poly.generator(CTX, U2), U2: Poly.generator(CTX, U1) + 1},
+    )
+    def test_substitute(self, p, mapping):
+        expected = to_sympy(p).subs(
+            {SYMBOLS[g]: to_sympy(q) for g, q in mapping.items()}, simultaneous=True)
+        assert_agrees(p.substitute(mapping), sympy.expand(expected))
+
+
+class TestMonomialFastPaths:
+    @ORACLE
+    @given(monomials, monomials)
+    def test_times_matches_constructor(self, m1, m2):
+        merged = m1.times(m2)
+        expected = Monomial(m1.powers + m2.powers)
+        assert merged == expected
+        assert merged.powers == expected.powers
+        assert hash(merged) == hash(expected)
+
+    @ORACLE
+    @given(monomials, generators, st.integers(0, 3))
+    def test_with_exponent_matches_constructor(self, m, g, e):
+        spliced = m.with_exponent(g, e)
+        expected = Monomial([(h, k) for h, k in m.powers if h != g] + [(g, e)])
+        assert spliced == expected
+        assert spliced.powers == expected.powers
+        assert hash(spliced) == hash(expected)
+
+    def test_with_exponent_rejects_negative(self):
+        with pytest.raises(ValueError):
+            Monomial([(U1, 1)]).with_exponent(U1, -1)
