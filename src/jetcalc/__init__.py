@@ -18,20 +18,20 @@ The `jetcalc` command line tool drives all of it from small model files; see
 """
 
 from .dsl import ParseError, parse_expr, render_expr
-from .kernel import (BundleSpec, Generator, JetcalcError, Monomial, MultiIndex,
-                     Poly, UnknownName)
+from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, Monomial,
+                     MultiIndex, Poly, UnknownName)
 from .modelfile import ModelFile, load_model, parse_model
 from .poisson import (EntryNotOrderZero, FunctionalClass, NonSkew, OmegaSpec,
-                      PoissonReport, bracket, check_poisson_tensor, cyclic_sum,
-                      jacobiator, l2_density, validate_omega)
-from .shlie import GradedElement, ShLieReport, check_shlie_relations, l1, l2, l3
-from .sigma import (NotOrthogonal, SigmaEulerReport, SigmaModelSpec, build_sigma,
+                      bracket, check_poisson_tensor, cyclic_sum, jacobiator,
+                      l2_density, validate_omega)
+from .shlie import GradedElement, check_shlie_relations, l1, l2, l3
+from .sigma import (NotOrthogonal, SigmaModelSpec, build_sigma,
                     check_lagrangian_invariance, contracted_curvature,
                     covariant_derivative, ikeda_lagrangian, orthogonal_action,
                     sigma_bundle, sigma_euler_check)
-from .symmetry import (Automorphism, CovarianceReport, FiniteGroupAction,
-                       PreconditionFailed, check_canonical_density,
-                       check_covariance, check_el_transform, check_invariance,
+from .symmetry import (Automorphism, FiniteGroupAction, PreconditionFailed,
+                       check_canonical_density, check_covariance,
+                       check_el_transform, check_invariance,
                        check_invariant_closure, check_pullback_dh_commute,
                        group_average, prolong, pullback, pullback_form)
 from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
@@ -39,13 +39,12 @@ from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
                       iterated_total_derivative, total_derivative)
 
 __all__ = [
-    "Automorphism", "BundleSpec", "CovarianceReport", "DegreeError",
+    "Automorphism", "BundleSpec", "CheckReport", "DegreeError",
     "EntryNotOrderZero", "FiniteGroupAction", "FunctionalClass", "Generator",
     "GradedElement", "HorizontalForm", "JetcalcError", "Monomial", "MultiIndex",
     "ModelFile", "NonSkew", "NotExact", "NotOrthogonal", "OmegaSpec",
-    "ParseError", "Poly",
-    "PoissonReport", "PreconditionFailed", "ShLieReport", "SigmaEulerReport",
-    "SigmaModelSpec", "UnknownName", "Unsupported", "bracket", "build_sigma",
+    "ParseError", "Poly", "PreconditionFailed", "SigmaModelSpec",
+    "UnknownName", "Unsupported", "bracket", "build_sigma",
     "check_canonical_density", "check_covariance", "check_el_transform",
     "check_invariance", "check_invariant_closure", "check_lagrangian_invariance",
     "check_poisson_tensor", "check_pullback_dh_commute", "check_shlie_relations",

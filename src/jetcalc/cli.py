@@ -14,85 +14,24 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
 from .dsl import ParseError, render_expr
-from .kernel import UnknownName
+from .kernel import CheckReport, UnknownName
 from .modelfile import load_model
 from .poisson import EntryNotOrderZero, NonSkew, check_poisson_tensor, jacobiator, l2_density
 from .shlie import check_shlie_relations, l3
 from .sigma import NotOrthogonal, check_lagrangian_invariance, sigma_euler_check
 from .symmetry import (PreconditionFailed, check_canonical_density,
-                       check_covariance, check_el_transform,
+                       check_covariance, check_el_transform, check_invariance,
                        check_invariant_closure, check_pullback_dh_commute,
-                       group_average, pullback_form)
+                       group_average)
 from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
                       euler, invert_total_derivative, total_derivative)
-
-
-class _Outcome:
-    """What one subcommand produced, before rendering as text or JSON.
-
-    Style "bare" prints result expressions alone, "named" prints them as
-    `name = expression` lines, and "check" prints a pass/fail verdict first.
-    Residual lines always follow as `location: expression`.
-    """
-
-    def __init__(self, command: str, style: str = "check"):
-        self.command = command
-        self.style = style
-        self.passed = True
-        self.results: list[tuple[str, str]] = []
-        self.residuals: list[tuple[str, str]] = []
-
-    def result(self, name: str, expression: str):
-        self.results.append((name, expression))
-
-    def residual(self, location: str, expression: str):
-        self.residuals.append((location, expression))
-
-    def fail(self):
-        self.passed = False
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
-    def render(self, as_json: bool) -> str:
-        if as_json:
-            payload = {
-                "command": self.command,
-                "pass": self.passed,
-                "results": [{"name": n, "expression": e} for n, e in self.results],
-                "residuals": [{"location": l, "expression": e} for l, e in self.residuals],
-            }
-            return json.dumps(payload) + "\n"
-        lines = []
-        if self.style == "check":
-            lines.append("pass" if self.passed else "fail")
-        for name, expression in self.results:
-            lines.append(expression if self.style == "bare" else f"{name} = {expression}")
-        for location, expression in self.residuals:
-            lines.append(f"{location}: {expression}")
-        return "".join(line + "\n" for line in lines)
-
-
-def _expression_outcome(command: str, expressions: list[tuple[str, str]],
-                        named: bool = False) -> _Outcome:
-    out = _Outcome(command, style="named" if named else "bare")
-    for name, text in expressions:
-        out.result(name, text)
-    return out
-
-
-def _check_outcome(command: str, passed: bool) -> _Outcome:
-    out = _Outcome(command, style="check")
-    if not passed:
-        out.fail()
-    return out
 
 
 def _rational_matrix(text: str) -> list[list[Fraction]]:
@@ -130,203 +69,158 @@ def _split_bracket_list(text: str) -> list[str]:
     return [p for p in pieces if p.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _values(*rows) -> CheckReport:
+    """The report of an expression command: its (name, Poly) rows, rendered."""
+    return CheckReport(True, results=tuple((name, render_expr(p)) for name, p in rows))
+
+
+def _euler(model, args) -> CheckReport:
+    components = euler(model.resolve_density(args.density))
+    return _values(*((f"E[{fiber}]", c) for fiber, c in zip(model.bundle.fibers, components)))
+
+
+def _dh(model, args) -> CheckReport:
+    ctx = model.bundle
+    form = d_h(HorizontalForm.scalar(model.resolve_density(args.expr)))
+    return _values(*((f"d{ctx.base_dims[i]}", form.coefficient((i,))) for i in range(ctx.n)))
+
+
+def _td(model, args) -> CheckReport:
+    direction = model.bundle.direction_index(args.direction)
+    return _values(("", total_derivative(model.resolve_density(args.expr), direction)))
+
+
+def _l2(model, args) -> CheckReport:
+    omega, resolve = model.require_omega(), model.resolve_density
+    return _values(("", l2_density(resolve(args.p), resolve(args.q), omega)))
+
+
+def _l3(model, args) -> CheckReport:
+    omega, resolve = model.require_omega(), model.resolve_density
+    element = l3(resolve(args.p), resolve(args.q), resolve(args.r), omega)
+    return _values(("", element.form.scalar_coefficient()))
+
+
+def _jacobiator(model, args) -> CheckReport:
+    omega, resolve = model.require_omega(), model.resolve_density
+    return _values(("", jacobiator(resolve(args.p), resolve(args.q), resolve(args.r), omega)))
+
+
+def _average(model, args) -> CheckReport:
+    group = model.get_group(args.group)
+    averaged = group_average(HorizontalForm.density(model.resolve_density(args.expr)), group)
+    return _values(("", averaged.density_coefficient()))
+
+
+def _canonical(model, args) -> CheckReport:
+    omega, auto = model.require_omega(), model.get_automorphism(args.auto)
+    p, q = model.resolve_density(args.p), model.resolve_density(args.q)
+    return check_canonical_density(omega, auto, p, q)
+
+
+def _invariance(model, args) -> CheckReport:
+    group = model.get_group(args.group)
+    return check_invariance(HorizontalForm.density(model.resolve_density(args.expr)), group)
+
+
+def _closure(model, args) -> CheckReport:
+    omega, group = model.require_omega(), model.get_group(args.group)
+    alpha = HorizontalForm.density(model.resolve_density(args.p))
+    beta = HorizontalForm.density(model.resolve_density(args.q))
+    return check_invariant_closure(alpha, beta, group, omega)
+
+
+def _shlie(model, args) -> CheckReport:
+    omega, resolve = model.require_omega(), model.resolve_density
+    p, q, r = resolve(args.p), resolve(args.q), resolve(args.r)
+    return check_shlie_relations(omega, triples=[(p, q, r)], pairs=[(p, q), (p, r), (q, r)])
+
+
+def _commute(model, args) -> CheckReport:
+    auto = model.get_automorphism(args.auto)
+    form = HorizontalForm.scalar(model.resolve_density(args.expr))
+    return check_pullback_dh_commute(form, auto)
+
+
+# Every command: its arguments after the model file, its help, its output
+# style and its handler, which takes the loaded model and the parsed
+# arguments; "check NAME" is the subcommand NAME of `check`.  Style "bare"
+# prints result expressions alone, "named" prints them as `name = expression`
+# lines, and "check" prints a pass/fail verdict first.  Residual lines always
+# follow as `location: expression`.  Handlers look up omega or sigma first and
+# then their arguments in order, which decides the error reported first.
+_COMMANDS = {
+    "euler": (("density",), "Euler components of a density", "named", _euler),
+    "dh": (("expr",), "horizontal differential of a function", "named", _dh),
+    "td": (("direction", "expr"), "total derivative along a direction", "bare", _td),
+    "l2": (("p", "q"), "bracket density of two densities", "bare", _l2),
+    "l3": (("p", "q", "r"), "homotopy correction of three densities", "bare", _l3),
+    "jacobiator": (("p", "q", "r"), "nested-bracket density", "bare", _jacobiator),
+    "invert-dx": (("expr",), "preimage under the total derivative", "bare",
+                  lambda model, args: _values(
+                      ("", invert_total_derivative(model.resolve_density(args.expr))))),
+    "average": (("group", "expr"), "group average of a density", "bare", _average),
+    "check poisson": ((), "pointwise Jacobi condition on omega", "check",
+                      lambda model, args: check_poisson_tensor(model.require_omega())),
+    "check covariance": (("auto",), "omega transforms as a bivector", "check",
+                         lambda model, args: check_covariance(
+                             model.require_omega(), model.get_automorphism(args.auto))),
+    "check canonical": (("auto", "p", "q"), "bracket density natural up to divergence",
+                        "check", _canonical),
+    "check invariance": (("group", "expr"), "density fixed by a group", "check", _invariance),
+    "check closure": (("group", "p", "q"), "bracket of invariant densities is invariant",
+                      "check", _closure),
+    "check shlie": (("p", "q", "r"), "low-degree structure relations", "check", _shlie),
+    "check el-transform": (("auto", "p"), "Euler components transform with the fiber Jacobian",
+                           "check", lambda model, args: check_el_transform(
+                               model.get_automorphism(args.auto),
+                               model.resolve_density(args.p))),
+    "check commute": (("auto", "expr"), "pullback commutes with the horizontal differential",
+                      "check", _commute),
+    "check sigma-euler": ((), "sigma field equations in closed form", "check",
+                          lambda model, args: sigma_euler_check(model.require_sigma())),
+    "check sigma-invariance": (("matrix",), "Lagrangian fixed by an orthogonal matrix action",
+                               "check", lambda model, args: check_lagrangian_invariance(
+                                   model.require_sigma(), _rational_matrix(args.matrix))),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser for every command in the table, built on first use."""
     parser = argparse.ArgumentParser(
         prog="jetcalc",
         description="Exact variational calculus on jet bundles: Euler-Lagrange "
                     "operators, bracket densities, homotopy corrections and "
                     "symmetry checks over model files.")
     parser.add_argument("--json", action="store_true", help="emit the JSON report shape")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, *fields, help=None):
-        p = sub.add_parser(name, help=help)
-        for f in fields:
-            p.add_argument(f)
-        return p
-
-    add("euler", "model", "density", help="Euler components of a density")
-    add("dh", "model", "expr", help="horizontal differential of a function")
-    add("td", "model", "direction", "expr", help="total derivative along a direction")
-    add("l2", "model", "p", "q", help="bracket density of two densities")
-    add("l3", "model", "p", "q", "r", help="homotopy correction of three densities")
-    add("jacobiator", "model", "p", "q", "r", help="nested-bracket density")
-    add("invert-dx", "model", "expr", help="preimage under the total derivative")
-    add("average", "model", "group", "expr", help="group average of a density")
-
-    check = sub.add_parser("check", help="verify a structural property")
-    kinds = check.add_subparsers(dest="kind", required=True, metavar="kind")
-
-    def add_check(name, *fields, help=None):
-        p = kinds.add_parser(name, help=help)
-        for f in fields:
-            p.add_argument(f)
-        return p
-
-    add_check("poisson", "model", help="pointwise Jacobi condition on omega")
-    add_check("covariance", "model", "auto", help="omega transforms as a bivector")
-    add_check("canonical", "model", "auto", "p", "q",
-              help="bracket density natural up to divergence")
-    add_check("invariance", "model", "group", "expr", help="density fixed by a group")
-    add_check("closure", "model", "group", "p", "q",
-              help="bracket of invariant densities is invariant")
-    add_check("shlie", "model", "p", "q", "r", help="low-degree structure relations")
-    add_check("el-transform", "model", "auto", "p",
-              help="Euler components transform with the fiber Jacobian")
-    add_check("commute", "model", "auto", "expr",
-              help="pullback commutes with the horizontal differential")
-    add_check("sigma-euler", "model", help="sigma field equations in closed form")
-    add_check("sigma-invariance", "model", "matrix",
-              help="Lagrangian fixed by an orthogonal matrix action")
+    groups = {"": parser.add_subparsers(dest="command", required=True, metavar="command")}
+    for name, (fields, summary, _, _) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            check = groups[""].add_parser(group, help="verify a structural property")
+            groups[group] = check.add_subparsers(dest="kind", required=True, metavar="kind")
+        command = groups[group].add_parser(leaf, help=summary)
+        for field in ("model", *fields):
+            command.add_argument(field)
     return parser
 
 
-def _run_command(args) -> _Outcome:
-    model = load_model(args.model)
-    ctx = model.bundle
-    command = args.command if args.command != "check" else f"check {args.kind}"
-
-    if args.command == "euler":
-        density = model.resolve_density(args.density)
-        components = euler(density)
-        return _expression_outcome(command, [
-            (f"E[{ctx.fibers[a]}]", render_expr(components[a])) for a in range(ctx.m)
-        ], named=True)
-
-    if args.command == "dh":
-        scalar = model.resolve_density(args.expr)
-        form = d_h(HorizontalForm.scalar(scalar))
-        rows = [(f"d{ctx.base_dims[i]}", render_expr(form.coefficient((i,))))
-                for i in range(ctx.n)]
-        return _expression_outcome(command, rows, named=True)
-
-    if args.command == "td":
-        direction = ctx.direction_index(args.direction)
-        result = total_derivative(model.resolve_density(args.expr), direction)
-        return _expression_outcome(command, [("", render_expr(result))])
-
-    if args.command == "l2":
-        omega = model.require_omega()
-        density = l2_density(model.resolve_density(args.p),
-                             model.resolve_density(args.q), omega)
-        return _expression_outcome(command, [("", render_expr(density))])
-
-    if args.command == "l3":
-        omega = model.require_omega()
-        element = l3(model.resolve_density(args.p), model.resolve_density(args.q),
-                     model.resolve_density(args.r), omega)
-        return _expression_outcome(command, [
-            ("", render_expr(element.form.scalar_coefficient()))])
-
-    if args.command == "jacobiator":
-        omega = model.require_omega()
-        density = jacobiator(model.resolve_density(args.p), model.resolve_density(args.q),
-                             model.resolve_density(args.r), omega)
-        return _expression_outcome(command, [("", render_expr(density))])
-
-    if args.command == "invert-dx":
-        preimage = invert_total_derivative(model.resolve_density(args.expr))
-        return _expression_outcome(command, [("", render_expr(preimage))])
-
-    if args.command == "average":
-        group = model.get_group(args.group)
-        averaged = group_average(
-            HorizontalForm.density(model.resolve_density(args.expr)), group)
-        return _expression_outcome(command, [
-            ("", render_expr(averaged.density_coefficient()))])
-
-    if args.kind == "poisson":
-        omega = model.require_omega()
-        report = check_poisson_tensor(omega)
-        out = _check_outcome(command, report.passed)
-        for a, b, c, residual in report.failures:
-            out.residual(f"({a},{b},{c})", render_expr(residual))
-        return out
-
-    if args.kind == "covariance":
-        omega = model.require_omega()
-        report = check_covariance(omega, model.get_automorphism(args.auto))
-        out = _check_outcome(command, report.passed)
-        for a, b, residual in report.failures:
-            out.residual(f"omega[{a},{b}]", render_expr(residual))
-        return out
-
-    if args.kind == "canonical":
-        omega = model.require_omega()
-        auto = model.get_automorphism(args.auto)
-        p = model.resolve_density(args.p)
-        q = model.resolve_density(args.q)
-        passed = check_canonical_density(omega, auto, p, q)
-        out = _check_outcome(command, passed)
-        if not passed:
-            from .symmetry import pullback
-
-            defect = l2_density(pullback(p, auto), pullback(q, auto), omega) \
-                - pullback(l2_density(p, q, omega), auto)
-            for a, component in enumerate(euler(defect)):
-                if not component.is_zero:
-                    out.residual(f"E[{ctx.fibers[a]}]", render_expr(component))
-        return out
-
-    if args.kind == "invariance":
-        group = model.get_group(args.group)
-        form = HorizontalForm.density(model.resolve_density(args.expr))
-        out = _check_outcome(command, True)
-        for k, g in enumerate(group.elements):
-            moved = pullback_form(form, g)
-            if moved != form:
-                out.fail()
-                defect = moved.density_coefficient() - form.density_coefficient()
-                out.residual(f"element[{k}]", render_expr(defect))
-        return out
-
-    if args.kind == "closure":
-        omega = model.require_omega()
-        group = model.get_group(args.group)
-        alpha = HorizontalForm.density(model.resolve_density(args.p))
-        beta = HorizontalForm.density(model.resolve_density(args.q))
-        return _check_outcome(command, check_invariant_closure(alpha, beta, group, omega))
-
-    if args.kind == "shlie":
-        omega = model.require_omega()
-        p = model.resolve_density(args.p)
-        q = model.resolve_density(args.q)
-        r = model.resolve_density(args.r)
-        report = check_shlie_relations(omega, triples=[(p, q, r)],
-                                       pairs=[(p, q), (p, r), (q, r)])
-        out = _check_outcome(command, report.passed)
-        for location, expression in report.violations:
-            out.residual(location, expression)
-        return out
-
-    if args.kind == "el-transform":
-        auto = model.get_automorphism(args.auto)
-        return _check_outcome(command,
-                              check_el_transform(auto, model.resolve_density(args.p)))
-
-    if args.kind == "commute":
-        auto = model.get_automorphism(args.auto)
-        form = HorizontalForm.scalar(model.resolve_density(args.expr))
-        return _check_outcome(command, check_pullback_dh_commute(form, auto))
-
-    if args.kind == "sigma-euler":
-        report = sigma_euler_check(model.require_sigma())
-        out = _check_outcome(command, report.passed)
-        out.result("w_block", "exact" if report.w_block_exact else "mismatch")
-        out.result("u_block_vs_half_curvature",
-                   "exact" if report.u_block_matches_half_curvature else "mismatch")
-        out.result("u_block_vs_displayed_curvature",
-                   "match" if report.u_block_matches_displayed_curvature else "factor 2 off")
-        for name, residual in report.w_residuals + report.u_residuals:
-            out.residual(f"E[{name}]", render_expr(residual))
-        return out
-
-    if args.kind == "sigma-invariance":
-        spec = model.require_sigma()
-        matrix = _rational_matrix(args.matrix)
-        return _check_outcome(command, check_lagrangian_invariance(spec, matrix))
-
-    raise ValueError(f"unhandled command {command!r}")
+def _render(command: str, style: str, passed: bool, results, residuals,
+            as_json: bool) -> str:
+    """Text in the command's style, or the fixed JSON shape.  Result
+    expressions are text; residual expressions are printed by str()."""
+    if as_json:
+        return json.dumps({
+            "command": command,
+            "pass": passed,
+            "results": [{"name": n, "expression": e} for n, e in results],
+            "residuals": [{"location": loc, "expression": str(e)} for loc, e in residuals],
+        }) + "\n"
+    lines = ["pass" if passed else "fail"] if style == "check" else []
+    lines += [e if style == "bare" else f"{n} = {e}" for n, e in results]
+    lines += [f"{loc}: {e}" for loc, e in residuals]
+    return "".join(line + "\n" for line in lines)
 
 
 _VALIDATION_ERRORS = (ParseError, UnknownName, NonSkew, EntryNotOrderZero,
@@ -336,27 +230,26 @@ _VALIDATION_ERRORS = (ParseError, UnknownName, NonSkew, EntryNotOrderZero,
 
 def run(argv: list[str]) -> int:
     """Parse arguments, execute one subcommand, print its report."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    command = args.command if args.command != "check" else f"check {getattr(args, 'kind', '')}"
+    command = args.command if args.command != "check" else f"check {args.kind}"
+    _, _, style, handler = _COMMANDS[command]
     try:
-        outcome = _run_command(args)
+        report = handler(load_model(args.model), args)
     except NotExact as exc:
         return _emit_error(command, str(exc), args.json, 1)
     except _VALIDATION_ERRORS as exc:
         return _emit_error(command, str(exc), args.json, 2)
-    _write_stdout(outcome.render(args.json))
-    return outcome.exit_code
+    _write_stdout(_render(command, style, report.passed, report.results, report.residuals,
+                          args.json))
+    return 0 if report.passed else 1
 
 
 def _emit_error(command: str, message: str, as_json: bool, code: int) -> int:
     if as_json:
-        out = _check_outcome(command, False)
-        out.residual("error", message)
-        _write_stdout(out.render(as_json))
+        _write_stdout(_render(command, "check", False, (), [("error", message)], True))
     else:
         print(f"error: {message}", file=sys.stderr)
     return code

@@ -39,6 +39,7 @@ class ParseError(JetcalcError):
     """Syntax error in the expression language, with a character position."""
 
     def __init__(self, message: str, position: int):
+        self.message = message
         self.position = position
         super().__init__(f"{message} (at position {position})")
 

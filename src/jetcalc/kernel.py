@@ -555,3 +555,20 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of a check, in the shape the command line prints.
+
+    `residuals` pairs each failing location with its exact residual, and
+    `results` pairs names with verdict words.  A report is true when the
+    check passed.
+    """
+
+    passed: bool
+    residuals: tuple[tuple[str, Poly], ...] = ()
+    results: tuple[tuple[str, str], ...] = ()
+
+    def __bool__(self) -> bool:
+        return self.passed

@@ -95,8 +95,7 @@ def _parse_expr_at(text: str, offset: int, ctx: BundleSpec) -> Poly:
     try:
         return parse_expr(text, ctx)
     except ParseError as exc:
-        raise ParseError(str(exc).rsplit(" (at position", 1)[0],
-                         offset + exc.position) from None
+        raise ParseError(exc.message, offset + exc.position) from None
     except UnknownName as exc:
         raise UnknownName(exc.name, offset + (exc.position or 0)) from None
 

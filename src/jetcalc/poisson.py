@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import BundleSpec, JetcalcError, Poly
+from .kernel import BundleSpec, CheckReport, JetcalcError, Poly
 from .varcalc import euler, is_divergence
 
 
@@ -69,14 +69,6 @@ def validate_omega(omega: OmegaSpec) -> None:
                         f"{g.name(omega.ctx)}")
 
 
-@dataclass(frozen=True)
-class PoissonReport:
-    """Outcome of the pointwise Jacobi check: failing triples and residuals."""
-
-    passed: bool
-    failures: tuple[tuple[str, str, str, Poly], ...]
-
-
 def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
     """The cyclic sum at (a, b, c), over only the nonzero summands
     omega^{zd} d(omega^{xy})/du^d: the u^d that omega^{xy} contains."""
@@ -89,22 +81,24 @@ def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
     return total
 
 
-def check_poisson_tensor(omega: OmegaSpec) -> PoissonReport:
+def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
     """Verify the cyclic condition on every fiber triple a < b < c.
 
-    The cyclic sum is totally antisymmetric in (a, b, c) for a skew matrix and
+    Each failing triple is reported at `(a,b,c)` with its cyclic sum.  The
+    cyclic sum is totally antisymmetric in (a, b, c) for a skew matrix and
     vanishes identically on repeated indices, so the strictly increasing
     triples decide the condition.
     """
     ctx = omega.ctx
-    failures = []
+    residuals = []
     for a in range(ctx.m):
         for b in range(a + 1, ctx.m):
             for c in range(b + 1, ctx.m):
                 residual = cyclic_sum(omega, a, b, c)
                 if not residual.is_zero:
-                    failures.append((ctx.fibers[a], ctx.fibers[b], ctx.fibers[c], residual))
-    return PoissonReport(passed=not failures, failures=tuple(failures))
+                    residuals.append((f"({ctx.fibers[a]},{ctx.fibers[b]},{ctx.fibers[c]})",
+                                      residual))
+    return CheckReport(not residuals, tuple(residuals))
 
 
 def l2_density(p: Poly, q: Poly, omega: OmegaSpec) -> Poly:

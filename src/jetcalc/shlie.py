@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kernel import Poly
+from .kernel import CheckReport, Poly
 from .poisson import OmegaSpec, jacobiator, l2_density
 from .varcalc import DegreeError, HorizontalForm, Unsupported, d_h, homotopy_s
 
@@ -88,34 +88,26 @@ def l3(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> GradedElement:
     return GradedElement(1, corrected)
 
 
-@dataclass(frozen=True)
-class ShLieReport:
-    """Violations found while checking the structure relations on samples."""
-
-    passed: bool
-    violations: tuple[tuple[str, str], ...]
-
-
 def check_shlie_relations(omega: OmegaSpec,
                           triples: Sequence[tuple[Poly, Poly, Poly]] = (),
-                          pairs: Sequence[tuple[Poly, Poly]] = ()) -> ShLieReport:
+                          pairs: Sequence[tuple[Poly, Poly]] = ()) -> CheckReport:
     """Check the low-degree structure relations on concrete samples.
 
     For each pair (f, g): l2 of the density f against d_h of the degree-1
     element carried by g must vanish.  For each triple (p, q, r) over a
-    one-dimensional base: the Jacobiator plus d_h of l3 must vanish.
+    one-dimensional base: the Jacobiator plus d_h of l3 must vanish.  Nonzero
+    residuals are reported at `pair[k]` and `triple[k]`.
     """
-    ctx = omega.ctx
-    violations: list[tuple[str, str]] = []
+    residuals: list[tuple[str, Poly]] = []
     for k, (f, g) in enumerate(pairs):
         form = g if isinstance(g, HorizontalForm) else HorizontalForm.scalar(g)
         residual = l2(GradedElement.density(f), l1(GradedElement(1, form)), omega)
         if not residual.is_zero:
-            violations.append((f"pair[{k}]", str(residual.form.density_coefficient())))
+            residuals.append((f"pair[{k}]", residual.form.density_coefficient()))
     for k, (p, q, r) in enumerate(triples):
         jac = jacobiator(p, q, r, omega)
         correction = d_h(l3(p, q, r, omega).form).density_coefficient()
         residual = jac + correction
         if not residual.is_zero:
-            violations.append((f"triple[{k}]", str(residual)))
-    return ShLieReport(passed=not violations, violations=tuple(violations))
+            residuals.append((f"triple[{k}]", residual))
+    return CheckReport(not residuals, tuple(residuals))

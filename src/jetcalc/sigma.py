@@ -30,12 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .kernel import BundleSpec, Generator, JetcalcError, MultiIndex, Poly
+from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
 from .poisson import NonSkew, OmegaSpec
 from .symmetry import Automorphism
 from .varcalc import euler
 
 _EPS = ((0, 1, 1), (1, 0, -1))
+
+FACTOR_NOTE = ("u-block Euler components equal 1/2 of the contracted curvature; "
+               "the curvature formula as usually displayed is off by a factor of 2")
 
 
 class NotOrthogonal(JetcalcError):
@@ -174,26 +177,16 @@ def contracted_curvature(spec: SigmaModelSpec, A: int) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class SigmaEulerReport:
-    """Comparison of the Euler components against the closed-form equations."""
-
-    passed: bool
-    w_block_exact: bool
-    u_block_matches_half_curvature: bool
-    u_block_matches_displayed_curvature: bool
-    factor_note: str
-    w_residuals: tuple[tuple[str, Poly], ...]
-    u_residuals: tuple[tuple[str, Poly], ...]
-
-
-def sigma_euler_check(spec: SigmaModelSpec) -> SigmaEulerReport:
+def sigma_euler_check(spec: SigmaModelSpec) -> CheckReport:
     """Compare Euler components of the Lagrangian with the field equations.
 
     The w-block must equal eps^{mu nu}(u_{A,nu} + W_{AB} w^B_nu) exactly.  The
     u-block must equal one half of the contracted curvature; the report also
     records whether it matches the unhalved (displayed) curvature, which it
-    does not for any nondegenerate model, and says so in `factor_note`.
+    does not for any nondegenerate model (see FACTOR_NOTE).  The results are
+    `w_block`, `u_block_vs_half_curvature` and `u_block_vs_displayed_curvature`;
+    each mismatching component is a residual at `E[fiber]`, actual minus
+    expected, the w-block first.
     """
     ctx = spec.bundle
     N = spec.n_fields
@@ -206,7 +199,7 @@ def sigma_euler_check(spec: SigmaModelSpec) -> SigmaEulerReport:
             expected = covariant_derivative(spec, A, nu) * eps
             actual = components[_w_pos(N, A, mu)]
             if actual != expected:
-                w_residuals.append((ctx.fibers[_w_pos(N, A, mu)], actual - expected))
+                w_residuals.append((f"E[{ctx.fibers[_w_pos(N, A, mu)]}]", actual - expected))
 
     u_residuals = []
     displayed_all = True
@@ -214,23 +207,17 @@ def sigma_euler_check(spec: SigmaModelSpec) -> SigmaEulerReport:
         curvature = contracted_curvature(spec, A)
         actual = components[_u_pos(A)]
         if actual != curvature * half:
-            u_residuals.append((ctx.fibers[_u_pos(A)], actual - curvature * half))
+            u_residuals.append((f"E[{ctx.fibers[_u_pos(A)]}]", actual - curvature * half))
         if actual != curvature:
             displayed_all = False
 
-    w_ok = not w_residuals
-    u_ok = not u_residuals
-    return SigmaEulerReport(
-        passed=w_ok and u_ok,
-        w_block_exact=w_ok,
-        u_block_matches_half_curvature=u_ok,
-        u_block_matches_displayed_curvature=displayed_all,
-        factor_note=(
-            "u-block Euler components equal 1/2 of the contracted curvature; "
-            "the curvature formula as usually displayed is off by a factor of 2"),
-        w_residuals=tuple(w_residuals),
-        u_residuals=tuple(u_residuals),
+    results = (
+        ("w_block", "mismatch" if w_residuals else "exact"),
+        ("u_block_vs_half_curvature", "mismatch" if u_residuals else "exact"),
+        ("u_block_vs_displayed_curvature", "match" if displayed_all else "factor 2 off"),
     )
+    residuals = tuple(w_residuals + u_residuals)
+    return CheckReport(not residuals, residuals, results)
 
 
 def _as_rational_matrix(matrix: Sequence[Sequence], size: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -292,10 +279,11 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
     return Automorphism(ctx, psi, psi_inv)
 
 
-def check_lagrangian_invariance(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> bool:
+def check_lagrangian_invariance(spec: SigmaModelSpec,
+                                matrix: Sequence[Sequence]) -> CheckReport:
     """Is the Lagrangian density fixed by the orthogonal action of M?"""
     from .symmetry import pullback
 
     auto = orthogonal_action(spec, matrix)
     lagrangian = ikeda_lagrangian(spec)
-    return pullback(lagrangian, auto) == lagrangian
+    return CheckReport(pullback(lagrangian, auto) == lagrangian)

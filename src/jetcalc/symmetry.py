@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import BundleSpec, Generator, JetcalcError, MultiIndex, Poly
+from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
 from .poisson import OmegaSpec, l2_density
-from .varcalc import HorizontalForm, d_h, euler, is_divergence, iterated_total_derivative
+from .varcalc import HorizontalForm, d_h, euler, iterated_total_derivative
 
 
 class PreconditionFailed(JetcalcError):
@@ -121,25 +121,20 @@ def pullback_form(form: HorizontalForm, auto: Automorphism) -> HorizontalForm:
     return form.map_coefficients(lambda p: pullback(p, auto))
 
 
-def check_pullback_dh_commute(form: HorizontalForm, auto: Automorphism) -> bool:
+def check_pullback_dh_commute(form: HorizontalForm, auto: Automorphism) -> CheckReport:
     """Does pullback of this form commute with the horizontal differential?"""
-    return pullback_form(d_h(form), auto) == d_h(pullback_form(form, auto))
+    return CheckReport(pullback_form(d_h(form), auto) == d_h(pullback_form(form, auto)))
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
-    passed: bool
-    failures: tuple[tuple[str, str, Poly], ...]
-
-
-def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CovarianceReport:
+def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
     """Does omega transform as a fiberwise bivector under the automorphism?
 
     For every pair (a, b) the residual
 
         omega^{ab}(psi(u)) - sum_{c,d} omega^{cd} dpsi^a/du^c dpsi^b/du^d
 
-    must vanish; failing pairs are reported with their residuals.
+    must vanish; failing pairs are reported at `omega[a,b]` with their
+    residuals.
     """
     ctx = omega.ctx
     if auto.ctx != ctx:
@@ -147,7 +142,7 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CovarianceReport:
     substitution = {Generator.jet(c): auto.psi[c] for c in range(ctx.m)}
     jacobian = [[auto.psi[a].partial(Generator.jet(c)) for c in range(ctx.m)]
                 for a in range(ctx.m)]
-    failures = []
+    residuals = []
     for a in range(ctx.m):
         for b in range(ctx.m):
             transported = Poly.zero(ctx)
@@ -161,17 +156,26 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CovarianceReport:
                     transported = transported + entry * jacobian[a][c] * jacobian[b][d]
             residual = omega.entry(a, b).substitute(substitution) - transported
             if not residual.is_zero:
-                failures.append((ctx.fibers[a], ctx.fibers[b], residual))
-    return CovarianceReport(passed=not failures, failures=tuple(failures))
+                residuals.append((f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]", residual))
+    return CheckReport(not residuals, tuple(residuals))
 
 
-def check_canonical_density(omega: OmegaSpec, auto: Automorphism, p: Poly, q: Poly) -> bool:
-    """Is the bracket density natural under pullback, up to a divergence?"""
+def check_canonical_density(omega: OmegaSpec, auto: Automorphism, p: Poly,
+                            q: Poly) -> CheckReport:
+    """Is the bracket density natural under pullback, up to a divergence?
+
+    The defect l2(pullback p, pullback q) - pullback l2(p, q) must be a
+    divergence; each nonzero Euler component of it is reported at `E[fiber]`.
+    """
     moved = l2_density(pullback(p, auto), pullback(q, auto), omega)
-    return is_divergence(moved - pullback(l2_density(p, q, omega), auto))
+    defect = euler(moved - pullback(l2_density(p, q, omega), auto))
+    residuals = tuple((f"E[{fiber}]", component)
+                      for fiber, component in zip(omega.ctx.fibers, defect)
+                      if not component.is_zero)
+    return CheckReport(not residuals, residuals)
 
 
-def check_el_transform(auto: Automorphism, p: Poly) -> bool:
+def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
     """Do Euler components transform with the Jacobian of the fiber map?
 
     Checks E_a(pullback p) = sum_c dpsi^c/du^a * pullback(E_c(p)) for every a.
@@ -187,8 +191,8 @@ def check_el_transform(auto: Automorphism, p: Poly) -> bool:
                 continue
             rhs = rhs + factor * pullback(rhs_parts[c], auto)
         if lhs[a] != rhs:
-            return False
-    return True
+            return CheckReport(False)
+    return CheckReport(True)
 
 
 @dataclass(frozen=True)
@@ -257,13 +261,23 @@ def group_average(form: HorizontalForm, group: FiniteGroupAction) -> HorizontalF
     return total * Fraction(1, group.order)
 
 
-def check_invariance(form: HorizontalForm, group: FiniteGroupAction) -> bool:
-    """Is the form fixed by every group element?"""
-    return all(pullback_form(form, g) == form for g in group.elements)
+def check_invariance(form: HorizontalForm, group: FiniteGroupAction) -> CheckReport:
+    """Is the form fixed by every group element?
+
+    Each element that moves the form is reported at `element[k]`, k its
+    position in the group, with each nonzero coefficient of the pullback
+    minus the form.
+    """
+    residuals = []
+    for k, g in enumerate(group.elements):
+        moved = pullback_form(form, g)
+        if moved != form:
+            residuals.extend((f"element[{k}]", poly) for _, poly in (moved - form).coeffs)
+    return CheckReport(not residuals, tuple(residuals))
 
 
 def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,
-                            group: FiniteGroupAction, omega: OmegaSpec) -> bool:
+                            group: FiniteGroupAction, omega: OmegaSpec) -> CheckReport:
     """Is the bracket density of two invariant densities again invariant?
 
     Preconditions (raising PreconditionFailed otherwise): alpha and beta are
@@ -280,4 +294,4 @@ def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,
         if not check_covariance(omega, g).passed:
             raise PreconditionFailed("omega is not covariant under every group element")
     density = l2_density(alpha.density_coefficient(), beta.density_coefficient(), omega)
-    return check_invariance(HorizontalForm.density(density), group)
+    return CheckReport(check_invariance(HorizontalForm.density(density), group).passed)

@@ -35,6 +35,7 @@ from jetcalc import (
     sigma_euler_check,
     total_derivative,
 )
+from jetcalc.sigma import FACTOR_NOTE
 
 import helpers
 
@@ -133,10 +134,10 @@ def test_criterion_05_covariance_canonicity(ctx1, omega_std, rot90):
     )
     report = check_covariance(omega_std, scale)
     assert not report.passed
-    assert {(a, b): residual for a, b, residual in report.failures} == {
-        ("u1", "u2"): Poly.const(ctx1, -1),
-        ("u2", "u1"): Poly.const(ctx1, 1),
-    }
+    assert report.residuals == (
+        ("omega[u1,u2]", Poly.const(ctx1, -1)),
+        ("omega[u2,u1]", Poly.const(ctx1, 1)),
+    )
     assert not check_canonical_density(
         omega_std, scale, parse_expr("u1^2", ctx1), parse_expr("u2^2", ctx1))
     _report(5, "covariance-canonicity")
@@ -204,10 +205,10 @@ def test_criterion_09_sigma_model():
     }
     for spec in specs.values():
         report = sigma_euler_check(spec)
-        assert report.w_block_exact
-        assert report.u_block_matches_half_curvature
-        assert not report.u_block_matches_displayed_curvature
-        assert "factor of 2" in report.factor_note
+        assert report.results == (("w_block", "exact"),
+                                  ("u_block_vs_half_curvature", "exact"),
+                                  ("u_block_vs_displayed_curvature", "factor 2 off"))
+    assert "factor of 2" in FACTOR_NOTE
 
     spec3 = specs[3]
     _, block = build_sigma(spec3)
@@ -232,8 +233,7 @@ def test_criterion_10_jacobi_failure_detection():
     # Full-matrix cyclic check: the surviving cross term is reported.
     report = check_poisson_tensor(block)
     assert not report.passed
-    failures = {(a, b, c): residual for a, b, c, residual in report.failures}
-    assert failures[("u1", "w10", "w20")] == parse_expr("-u2", ctx)
+    assert dict(report.residuals)["(u1,w10,w20)"] == parse_expr("-u2", ctx)
 
     # A constant structure matrix passes both tests.
     spec2 = SigmaModelSpec.from_strings(2, (("0", "1"), ("-1", "0")))

@@ -49,6 +49,108 @@ ROT3 = "[[3/5, 4/5, 0], [-4/5, 3/5, 0], [0, 0, 1]]"
 REFLECT3 = "[[1, 0, 0], [0, -1, 0], [0, 0, 1]]"
 
 
+# Exact output of every command on the fixtures above: argv (model files by
+# fixture name), exit code, text stdout, and the results and residuals of the
+# --json payload.
+GOLDENS = [
+    (("euler", "std", "P1"), 0, "E[u1] = u2_x\nE[u2] = -u1_x\n",
+     [("E[u1]", "u2_x"), ("E[u2]", "-u1_x")], []),
+    (("dh", "plane", "u1*u2"), 0, "dx = u1*u2_x + u1_x*u2\ndy = u1*u2_y + u1_y*u2\n",
+     [("dx", "u1*u2_x + u1_x*u2"), ("dy", "u1*u2_y + u1_y*u2")], []),
+    (("td", "std", "x", "u1*u2"), 0, "u1*u2_x + u1_x*u2\n", [("", "u1*u2_x + u1_x*u2")], []),
+    (("l2", "std", "H1", "H2"), 0, "-u1*u2_xx + u1_xx*u2\n", [("", "-u1*u2_xx + u1_xx*u2")], []),
+    (("l3", "std", "P1", "P2", "P3"), 0, "-2*u1^2\n", [("", "-2*u1^2")], []),
+    (("jacobiator", "std", "P1", "P2", "P3"), 0, "4*u1*u1_x\n", [("", "4*u1*u1_x")], []),
+    (("invert-dx", "std", "4*u1*u1_x"), 0, "2*u1^2\n", [("", "2*u1^2")], []),
+    (("invert-dx", "std", "u2"), 1, "", [],
+     [("error", "terminal remainder still depends on fiber coordinates")]),
+    (("average", "std", "C4", "u1^2"), 0, "1/2*u1^2 + 1/2*u2^2\n",
+     [("", "1/2*u1^2 + 1/2*u2^2")], []),
+    (("check", "poisson", "std"), 0, "pass\n", [], []),
+    (("check", "poisson", "badjac"), 1, "fail\n(u1,u2,u3): u1\n", [], [("(u1,u2,u3)", "u1")]),
+    (("check", "covariance", "std", "Rot90"), 0, "pass\n", [], []),
+    (("check", "covariance", "std", "Scale2"), 1, "fail\nomega[u1,u2]: -1\nomega[u2,u1]: 1\n",
+     [], [("omega[u1,u2]", "-1"), ("omega[u2,u1]", "1")]),
+    (("check", "canonical", "std", "Rot90", "P1", "P2"), 0, "pass\n", [], []),
+    (("check", "canonical", "std", "Scale2", "u1^2", "u2^2"), 1,
+     "fail\nE[u1]: 8*u2\nE[u2]: 8*u1\n", [], [("E[u1]", "8*u2"), ("E[u2]", "8*u1")]),
+    (("check", "invariance", "std", "C4", "H1"), 0, "pass\n", [], []),
+    (("check", "invariance", "std", "C4", "u1^2"), 1,
+     "fail\nelement[1]: -u1^2 + u2^2\nelement[3]: -u1^2 + u2^2\n",
+     [], [("element[1]", "-u1^2 + u2^2"), ("element[3]", "-u1^2 + u2^2")]),
+    (("check", "closure", "std", "C4", "H1", "H2"), 0, "pass\n", [], []),
+    (("check", "shlie", "std", "P1", "P2", "P3"), 0, "pass\n", [], []),
+    (("check", "el-transform", "std", "Rot90", "P3"), 0, "pass\n", [], []),
+    (("check", "commute", "std", "Rot270", "P1"), 0, "pass\n", [], []),
+    (("check", "sigma-euler", "sigma"), 0,
+     "pass\nw_block = exact\nu_block_vs_half_curvature = exact\n"
+     "u_block_vs_displayed_curvature = factor 2 off\n",
+     [("w_block", "exact"), ("u_block_vs_half_curvature", "exact"),
+      ("u_block_vs_displayed_curvature", "factor 2 off")], []),
+    (("check", "sigma-invariance", "sigma", ROT3), 0, "pass\n", [], []),
+    (("check", "sigma-invariance", "sigma", REFLECT3), 1, "fail\n", [], []),
+]
+
+MAIN_HELP = """\
+usage: jetcalc [-h] [--json] command ...
+
+Exact variational calculus on jet bundles: Euler-Lagrange operators, bracket
+densities, homotopy corrections and symmetry checks over model files.
+
+positional arguments:
+  command
+    euler     Euler components of a density
+    dh        horizontal differential of a function
+    td        total derivative along a direction
+    l2        bracket density of two densities
+    l3        homotopy correction of three densities
+    jacobiator
+              nested-bracket density
+    invert-dx
+              preimage under the total derivative
+    average   group average of a density
+    check     verify a structural property
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit the JSON report shape
+"""
+
+CHECK_HELP = """\
+usage: jetcalc check [-h] kind ...
+
+positional arguments:
+  kind
+    poisson         pointwise Jacobi condition on omega
+    covariance      omega transforms as a bivector
+    canonical       bracket density natural up to divergence
+    invariance      density fixed by a group
+    closure         bracket of invariant densities is invariant
+    shlie           low-degree structure relations
+    el-transform    Euler components transform with the fiber Jacobian
+    commute         pullback commutes with the horizontal differential
+    sigma-euler     sigma field equations in closed form
+    sigma-invariance
+                    Lagrangian fixed by an orthogonal matrix action
+
+options:
+  -h, --help        show this help message and exit
+"""
+
+CANONICAL_HELP = """\
+usage: jetcalc check canonical [-h] model auto p q
+
+positional arguments:
+  model
+  auto
+  p
+  q
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
@@ -255,6 +357,34 @@ class TestJson:
         assert "u9" in payload["residuals"][0]["expression"]
 
 
+
+def _golden_id(case):
+    return "-".join(case[0][:2]) + ("-fail" if case[1] else "")
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("argv, code, text, results, residuals", GOLDENS,
+                             ids=[_golden_id(case) for case in GOLDENS])
+    def test_text_and_json(self, invoke, models, argv, code, text, results, residuals):
+        argv = [models.get(arg, arg) for arg in argv]
+        assert invoke(*argv)[:2] == (code, text)
+        command = argv[0] if argv[0] != "check" else f"check {argv[1]}"
+        payload = {
+            "command": command,
+            "pass": code == 0,
+            "results": [{"name": n, "expression": e} for n, e in results],
+            "residuals": [{"location": loc, "expression": e} for loc, e in residuals],
+        }
+        assert invoke("--json", *argv)[:2] == (code, json.dumps(payload) + "\n")
+
+    @pytest.mark.parametrize("argv, text", [(["--help"], MAIN_HELP),
+                                            (["check", "--help"], CHECK_HELP),
+                                            (["check", "canonical", "--help"],
+                                             CANONICAL_HELP)])
+    def test_help(self, invoke, monkeypatch, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert invoke(*argv)[:2] == (0, text)
+
 class TestExitCodes:
     def test_missing_model_file(self, invoke, tmp_path):
         code, _, err = invoke("euler", str(tmp_path / "absent.jet"), "u1")
@@ -280,6 +410,16 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, invoke):
         assert invoke("--help")[0] == 0
+
+    def test_usage_error_leaves_later_runs_intact(self, invoke, models):
+        calls = [("--json", "check", "canonical", models["std"], "Scale2", "u1^2", "u2^2"),
+                 ("euler", models["std"], "P1")]
+        assert invoke("check", "canonical", models["std"], "Scale2")[0] == 2
+        assert invoke("--json", "frobnicate")[0] == 2
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "jetcalc.cli", *argv],
+                                   capture_output=True, text=True)
+            assert invoke(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_long_unary_minus_run(self, invoke, tmp_path):
         path = tmp_path / "minus.jet"

@@ -5,12 +5,28 @@ from fractions import Fraction
 import pytest
 
 from jetcalc import (
+    Automorphism,
     BundleSpec,
+    CheckReport,
     Generator,
+    HorizontalForm,
     Monomial,
     MultiIndex,
     Poly,
+    SigmaModelSpec,
     UnknownName,
+    build_sigma,
+    check_canonical_density,
+    check_covariance,
+    check_el_transform,
+    check_invariance,
+    check_invariant_closure,
+    check_lagrangian_invariance,
+    check_poisson_tensor,
+    check_pullback_dh_commute,
+    check_shlie_relations,
+    parse_expr,
+    sigma_euler_check,
 )
 
 import helpers
@@ -301,3 +317,49 @@ class TestPolyQueries:
                 start=Fraction(0),
             )
             assert value == Poly.const(ctx1, expected)
+
+
+class TestCheckReport:
+    def test_truth_is_the_verdict(self, ctx1):
+        residual = (("here", Poly.const(ctx1, 1)),)
+        assert CheckReport(True) and not CheckReport(False, residual)
+        assert CheckReport(False).residuals == () and CheckReport(True).results == ()
+        with pytest.raises(AttributeError):
+            CheckReport(True).passed = False
+
+    def test_every_check_returns_one(self, ctx1, omega_std, rot90, c4):
+        scale = Automorphism(ctx1, (parse_expr("2*u1", ctx1), parse_expr("u2", ctx1)),
+                             (parse_expr("1/2*u1", ctx1), parse_expr("u2", ctx1)))
+        p, q = parse_expr("u1^2", ctx1), parse_expr("u2^2", ctx1)
+        invariant = HorizontalForm.density(p + q)
+        so3 = SigmaModelSpec.from_strings(
+            3, (("0", "u3", "-u2"), ("-u3", "0", "u1"), ("u2", "-u1", "0")))
+        rotation = ((Fraction(3, 5), Fraction(4, 5), 0), (Fraction(-4, 5), Fraction(3, 5), 0),
+                    (0, 0, 1))
+        reports = {
+            "poisson": check_poisson_tensor(omega_std),
+            "poisson so3 sigma": check_poisson_tensor(build_sigma(so3)[1]),
+            "covariance": check_covariance(omega_std, rot90),
+            "covariance scaled": check_covariance(omega_std, scale),
+            "canonical": check_canonical_density(omega_std, rot90, p, q),
+            "canonical scaled": check_canonical_density(omega_std, scale, p, q),
+            "invariance": check_invariance(invariant, c4),
+            "invariance u1^2": check_invariance(HorizontalForm.density(p), c4),
+            "closure": check_invariant_closure(invariant, invariant, c4, omega_std),
+            "shlie": check_shlie_relations(omega_std, triples=[(p, q, p)], pairs=[(p, q)]),
+            "el-transform": check_el_transform(scale, p * q),
+            "commute": check_pullback_dh_commute(HorizontalForm.scalar(p), scale),
+            "sigma-euler": sigma_euler_check(so3),
+            "sigma-invariance": check_lagrangian_invariance(so3, rotation),
+            "sigma-invariance reflected": check_lagrangian_invariance(
+                so3, ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
+        }
+        # the failing checks, and whether each names residuals
+        failing = {"poisson so3 sigma": True, "covariance scaled": True,
+                   "canonical scaled": True, "invariance u1^2": True,
+                   "sigma-invariance reflected": False}
+        for name, report in reports.items():
+            assert isinstance(report, CheckReport), name
+            assert bool(report) is report.passed, name
+            assert report.passed == (name not in failing), name
+            assert bool(report.residuals) == failing.get(name, False), name

@@ -85,7 +85,9 @@ class TestStatementSyntax:
         with pytest.raises(ParseError) as err:
             parse_model(text)
         # absolute position just past the dangling operator
-        assert err.value.position == len(text.rstrip())
+        assert err.value.position == len(text.rstrip()) == 49
+        assert err.value.message == "unexpected end of input"
+        assert str(err.value) == "unexpected end of input (at position 49)"
 
     def test_unknown_statement(self):
         with pytest.raises(ParseError):

@@ -139,7 +139,7 @@ class TestCheckRelations:
                  for _ in range(10)]
         report = check_shlie_relations(omega_std, triples=triples, pairs=pairs)
         assert report.passed
-        assert report.violations == ()
+        assert report.residuals == ()
 
     def test_accepts_explicit_forms_in_pairs(self, ctx1, omega_std):
         f = parse_expr("u1^2", ctx1)

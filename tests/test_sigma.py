@@ -26,6 +26,7 @@ from jetcalc import (
     sigma_bundle,
     sigma_euler_check,
 )
+from jetcalc.sigma import FACTOR_NOTE
 
 SO3_ROWS = (("0", "u3", "-u2"), ("-u3", "0", "u1"), ("u2", "-u1", "0"))
 SYMPLECTIC_ROWS = (("0", "1"), ("-1", "0"))
@@ -119,16 +120,17 @@ class TestEulerCheck:
         for spec in (spec1, spec2, spec3):
             report = sigma_euler_check(spec)
             assert report.passed
-            assert report.w_block_exact
-            assert report.w_residuals == ()
+            assert dict(report.results)["w_block"] == "exact"
+            assert report.residuals == ()
 
     def test_u_equations_are_half_curvature(self, spec1, spec2, spec3):
         for spec in (spec1, spec2, spec3):
             report = sigma_euler_check(spec)
-            assert report.u_block_matches_half_curvature
-            assert report.u_residuals == ()
-            assert not report.u_block_matches_displayed_curvature
-            assert "factor of 2" in report.factor_note
+            results = dict(report.results)
+            assert results["u_block_vs_half_curvature"] == "exact"
+            assert report.residuals == ()
+            assert results["u_block_vs_displayed_curvature"] == "factor 2 off"
+        assert "factor of 2" in FACTOR_NOTE
 
     def test_half_curvature_directly(self, spec3):
         components = euler(ikeda_lagrangian(spec3))
@@ -211,8 +213,7 @@ class TestBlockStructure:
         ctx, omega = build_sigma(spec3)
         report = check_poisson_tensor(omega)
         assert not report.passed
-        failures = {(a, b, c): r for a, b, c, r in report.failures}
-        assert failures[("u1", "w10", "w20")] == parse_expr("-u2", ctx)
+        assert dict(report.residuals)["(u1,w10,w20)"] == parse_expr("-u2", ctx)
 
     def test_so3_block_jacobiator_not_exact(self, spec3):
         ctx, omega = build_sigma(spec3)

@@ -147,9 +147,8 @@ class TestCovariance:
     def test_scaling_fails_with_residual(self, ctx1, omega_std):
         report = check_covariance(omega_std, scale_map(ctx1))
         assert not report.passed
-        failures = {(a, b): residual for a, b, residual in report.failures}
-        assert failures[("u1", "u2")] == Poly.const(ctx1, -1)
-        assert failures[("u2", "u1")] == Poly.const(ctx1, 1)
+        assert report.residuals == (("omega[u1,u2]", Poly.const(ctx1, -1)),
+                                    ("omega[u2,u1]", Poly.const(ctx1, 1)))
 
     def test_chart_mismatch(self, ctx2, omega_std):
         with pytest.raises(ValueError):
@@ -169,7 +168,10 @@ class TestCanonicalDensity:
         scale = scale_map(ctx1)
         p = parse_expr("u1^2", ctx1)
         q = parse_expr("u2^2", ctx1)
-        assert not check_canonical_density(omega_std, scale, p, q)
+        report = check_canonical_density(omega_std, scale, p, q)
+        assert not report.passed
+        assert report.residuals == (("E[u1]", parse_expr("8*u2", ctx1)),
+                                    ("E[u2]", parse_expr("8*u1", ctx1)))
         moved = l2_density(pullback(p, scale), pullback(q, scale), omega_std)
         defect = moved - pullback(l2_density(p, q, omega_std), scale)
         assert euler(defect) == (parse_expr("8*u2", ctx1), parse_expr("8*u1", ctx1))
@@ -250,6 +252,10 @@ class TestAveraging:
         good = HorizontalForm.scalar(parse_expr("1/2*u1^2 + 1/2*u2^2", ctx1))
         assert check_invariance(good, c4)
         assert not check_invariance(HorizontalForm.scalar(parse_expr("u1^2", ctx1)), c4)
+        # c4 lists the identity, the quarter turn, the half turn, the three-quarter turn
+        moved = parse_expr("-u1^2 + u2^2", ctx1)
+        report = check_invariance(HorizontalForm.density(parse_expr("u1^2", ctx1)), c4)
+        assert report.residuals == (("element[1]", moved), ("element[3]", moved))
 
 
 class TestInvariantClosure:
