@@ -46,8 +46,10 @@ def _check_fiber_map(ctx: BundleSpec, polys: tuple[Poly, ...], label: str):
 class Automorphism:
     """A fiber map with explicit inverse over the identity base map.
 
-    Both directions are validated on construction by polynomial composition:
-    psi(psi_inv) and psi_inv(psi) must be the identity on every fiber.
+    `Automorphism(ctx, psi, psi_inv)` validates both directions by polynomial
+    composition: psi(psi_inv) and psi_inv(psi) must be the identity on every
+    fiber.  The results of `identity`, `compose` and `inverse` are valid by
+    construction and are not re-checked.
     """
 
     ctx: BundleSpec
@@ -69,16 +71,28 @@ class Automorphism:
         object.__setattr__(self, "_prolong_cache", {})
 
     @classmethod
+    def _trusted(cls, ctx: BundleSpec, psi: tuple[Poly, ...],
+                 psi_inv: tuple[Poly, ...]) -> "Automorphism":
+        """Wrap fiber maps that are inverse to each other by construction,
+        without re-validating them."""
+        auto = object.__new__(cls)
+        object.__setattr__(auto, "ctx", ctx)
+        object.__setattr__(auto, "psi", psi)
+        object.__setattr__(auto, "psi_inv", psi_inv)
+        object.__setattr__(auto, "_prolong_cache", {})
+        return auto
+
+    @classmethod
     def identity(cls, ctx: BundleSpec) -> "Automorphism":
         coords = tuple(Poly.generator(ctx, Generator.jet(a)) for a in range(ctx.m))
-        return cls(ctx, coords, coords)
+        return cls._trusted(ctx, coords, coords)
 
     @property
     def is_identity(self) -> bool:
         return self == Automorphism.identity(self.ctx)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.ctx, self.psi_inv, self.psi)
+        return Automorphism._trusted(self.ctx, self.psi_inv, self.psi)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: fibers map through other first, then self."""
@@ -89,7 +103,7 @@ class Automorphism:
         back = {Generator.jet(b): self.psi_inv[b] for b in range(ctx.m)}
         psi = tuple(p.substitute(through) for p in self.psi)
         psi_inv = tuple(p.substitute(back) for p in other.psi_inv)
-        return Automorphism(ctx, psi, psi_inv)
+        return Automorphism._trusted(ctx, psi, psi_inv)
 
     def prolong(self, a: int, index: MultiIndex) -> Poly:
         """Prolonged jet coordinate: u^a_I composed with the map is D_I(psi^a)."""
@@ -182,14 +196,14 @@ def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
     """
     ctx = auto.ctx
     lhs = euler(pullback(p, auto))
-    rhs_parts = euler(p)
+    moved_parts = [pullback(part, auto) for part in euler(p)]
     for a in range(ctx.m):
         rhs = Poly.zero(ctx)
         for c in range(ctx.m):
             factor = auto.psi[c].partial(Generator.jet(a))
-            if factor.is_zero or rhs_parts[c].is_zero:
+            if factor.is_zero or moved_parts[c].is_zero:
                 continue
-            rhs = rhs + factor * pullback(rhs_parts[c], auto)
+            rhs = rhs + factor * moved_parts[c]
         if lhs[a] != rhs:
             return CheckReport(False)
     return CheckReport(True)
@@ -197,7 +211,12 @@ def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
 
 @dataclass(frozen=True)
 class FiniteGroupAction:
-    """A finite set of automorphisms, closed under composition and inverse."""
+    """A finite set of automorphisms, closed under composition and inverse.
+
+    `FiniteGroupAction(elements)` validates its elements: no duplicates, the
+    identity listed, and every composite and inverse listed.  The group that
+    `generated_by` returns is valid by construction and is not re-checked.
+    """
 
     elements: tuple[Automorphism, ...]
 
@@ -208,20 +227,16 @@ class FiniteGroupAction:
         for g in self.elements:
             if g.ctx != ctx:
                 raise ValueError("group elements over different charts")
-        seen: list[Automorphism] = []
-        for g in self.elements:
-            if any(g == h for h in seen):
-                raise ValueError("duplicate group element")
-            seen.append(g)
-        identity = Automorphism.identity(ctx)
-        if not any(g == identity for g in self.elements):
+        members = set(self.elements)
+        if len(members) != len(self.elements):
+            raise ValueError("duplicate group element")
+        if Automorphism.identity(ctx) not in members:
             raise ValueError("the identity automorphism must be listed")
         for g in self.elements:
             for h in self.elements:
-                composed = g.compose(h)
-                if not any(composed == k for k in self.elements):
+                if g.compose(h) not in members:
                     raise ValueError("the listed elements are not closed under composition")
-            if not any(g.inverse() == k for k in self.elements):
+            if g.inverse() not in members:
                 raise ValueError("an element's inverse is not listed")
 
     @property
@@ -234,23 +249,32 @@ class FiniteGroupAction:
 
     @classmethod
     def generated_by(cls, *generators: Automorphism, max_order: int = 512) -> "FiniteGroupAction":
-        """Close a generating set under composition (bounded search)."""
+        """Close a generating set under composition (bounded search).
+
+        The elements are listed identity first, then in breadth-first order of
+        discovery: each listed element x, in turn, is composed with every
+        generator g, in the order given, and g after x is appended when new.
+        One generator thus gives id, g, g^2, ...  A finite set of bijections
+        closed under composition holds every inverse (g^k = id for some k),
+        so the result is a group without further checks.
+        """
         if not generators:
             raise ValueError("at least one generator is required")
-        ctx = generators[0].ctx
-        elements: list[Automorphism] = [Automorphism.identity(ctx)]
-        frontier = [g for g in generators]
-        while frontier:
-            g = frontier.pop()
-            if any(g == h for h in elements):
-                continue
-            elements.append(g)
-            if len(elements) > max_order:
-                raise ValueError(f"group generation exceeded {max_order} elements")
-            for h in list(elements):
-                frontier.append(g.compose(h))
-                frontier.append(h.compose(g))
-        return cls(tuple(elements))
+        identity = Automorphism.identity(generators[0].ctx)
+        elements = [identity]
+        members = {identity}
+        for x in elements:
+            for g in generators:
+                y = g.compose(x)
+                if y in members:
+                    continue
+                elements.append(y)
+                members.add(y)
+                if len(elements) > max_order:
+                    raise ValueError(f"group generation exceeded {max_order} elements")
+        group = object.__new__(cls)
+        object.__setattr__(group, "elements", tuple(elements))
+        return group
 
 
 def group_average(form: HorizontalForm, group: FiniteGroupAction) -> HorizontalForm:

@@ -19,10 +19,9 @@ the preimage in that case by peeling one jet order at a time.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .kernel import BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly
+from .kernel import BundleSpec, Generator, JetcalcError, MultiIndex, Poly
 
 
 class DegreeError(JetcalcError):

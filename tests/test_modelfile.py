@@ -14,6 +14,7 @@ from jetcalc import (
     parse_expr,
     sigma_bundle,
 )
+from jetcalc.cli import run
 
 
 FULL_MODEL = textwrap.dedent("""\
@@ -178,14 +179,32 @@ class TestGroupStatement:
             parse_model("bundle { base = [x]; fibers = [u1] }\n"
                         "group G = [Missing]")
 
-    def test_invalid_group_wrapped(self):
+    @pytest.mark.parametrize("statement, message", [
+        pytest.param("group G = [Id, Rot180, Rot180]",
+                     "invalid group 'G': duplicate group element", id="duplicate"),
+        pytest.param("group G = [Rot180]",
+                     "invalid group 'G': the identity automorphism must be listed",
+                     id="no-identity"),
+        pytest.param("group G = [Id, Rot90]",
+                     "invalid group 'G': the listed elements are not closed under composition",
+                     id="not-closed"),
+        pytest.param("auto Bad { u1 -> 2*u1, u2 -> u2 inv { u1 -> 2*u1, u2 -> u2 } }",
+                     "invalid automorphism 'Bad': psi_inv is not a right inverse on fiber u1",
+                     id="bad-inverse"),
+    ])
+    def test_invalid_group_wrapped(self, statement, message, tmp_path, capsys):
         text = ("bundle { base = [x]; fibers = [u1, u2] }\n"
                 "auto Id { u1 -> u1, u2 -> u2 inv { u1 -> u1, u2 -> u2 } }\n"
                 "auto Rot90 { u1 -> u2, u2 -> -u1 inv { u1 -> -u2, u2 -> u1 } }\n"
-                "group G = [Id, Rot90]")
+                "auto Rot180 { u1 -> -u1, u2 -> -u2 inv { u1 -> -u1, u2 -> -u2 } }\n"
+                + statement)
         with pytest.raises(ParseError) as err:
             parse_model(text)
-        assert "invalid group" in str(err.value)
+        assert str(err.value) == f"{message} (at position 228)"
+        path = tmp_path / "invalid.jet"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert run(["euler", str(path), "u1"]) == 2
+        assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
 
 
 class TestSigmaStatement:

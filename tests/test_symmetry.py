@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from jetcalc import (
@@ -219,6 +220,57 @@ class TestFiniteGroupAction:
     def test_two_element_group(self, ctx1):
         group = FiniteGroupAction.generated_by(reflection(ctx1))
         assert group.order == 2
+
+
+def assert_passes_validation(auto):
+    checked = Automorphism(auto.ctx, auto.psi, auto.psi_inv)
+    assert checked == auto
+    assert hash(checked) == hash(auto)
+
+
+class TestTrustedAlgebra:
+    """`compose`, `inverse` and `generated_by` skip validation, so their
+    results must pass the validating constructors unchanged."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_compose_and_inverse(self, ctx1, ctx2, seed, two_directions):
+        rng = helpers.seeded(seed)
+        ctx = ctx2 if two_directions else ctx1
+        a = helpers.random_automorphism(rng, ctx)
+        b = helpers.random_automorphism(rng, ctx)
+        for auto in (a.compose(b), a.inverse(), a.compose(b).inverse()):
+            assert_passes_validation(auto)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_generated_group(self, ctx1, rot90, seed, with_reflection):
+        # h stays affine in the fibers: conjugating by a map quadratic in u
+        # makes the intermediate polynomials of the group's compositions swell
+        rng = helpers.seeded(seed)
+        offset = helpers.random_poly(rng, ctx1, max_degree=2, max_terms=2,
+                                     pool=[Generator.base(0)])
+        shift = helpers.shear(ctx1, 0, offset + parse_expr("u2", ctx1) * rng.randint(-2, 2))
+        h = helpers.random_linear_automorphism(rng, ctx1).compose(shift)
+        generators = (rot90, reflection(ctx1)) if with_reflection else (rot90,)
+        conjugated = [h.compose(g).compose(h.inverse()) for g in generators]
+        group = FiniteGroupAction.generated_by(*conjugated)
+        assert group.order == (8 if with_reflection else 4)
+        checked = FiniteGroupAction(group.elements)
+        assert checked == group
+        assert set(checked.elements) == set(group.elements)
+        for g in group.elements:
+            assert_passes_validation(g)
+
+    def test_two_generator_order(self, ctx1, rot90):
+        """Identity first, then breadth first: each element composed with
+        each generator in the order given."""
+        group = FiniteGroupAction.generated_by(rot90, reflection(ctx1))
+        expected = [("u1", "u2"), ("u2", "-u1"), ("u1", "-u2"), ("-u1", "-u2"),
+                    ("u2", "u1"), ("-u2", "-u1"), ("-u2", "u1"), ("-u1", "u2")]
+        assert [g.psi for g in group.elements] == [
+            tuple(parse_expr(e, ctx1) for e in images) for images in expected]
+        assert FiniteGroupAction(group.elements) == group
 
 
 class TestAveraging:
