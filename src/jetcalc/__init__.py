@@ -33,7 +33,7 @@ from .symmetry import (Automorphism, FiniteGroupAction, PreconditionFailed,
                        check_canonical_density, check_covariance,
                        check_el_transform, check_invariance,
                        check_invariant_closure, check_pullback_dh_commute,
-                       group_average, prolong, pullback, pullback_form)
+                       group_average, pullback, pullback_form)
 from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
                       euler, homotopy_s, invert_total_derivative, is_divergence,
                       iterated_total_derivative, total_derivative)
@@ -52,7 +52,7 @@ __all__ = [
     "euler", "group_average", "homotopy_s", "ikeda_lagrangian",
     "invert_total_derivative", "is_divergence", "iterated_total_derivative",
     "jacobiator", "l1", "l2", "l2_density", "l3", "load_model",
-    "orthogonal_action", "parse_expr", "parse_model", "prolong", "pullback",
+    "orthogonal_action", "parse_expr", "parse_model", "pullback",
     "pullback_form", "render_expr", "sigma_bundle", "sigma_euler_check",
     "total_derivative", "validate_omega",
 ]

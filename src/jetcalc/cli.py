@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .dsl import ParseError, render_expr
 from .kernel import CheckReport, UnknownName
-from .modelfile import load_model
+from .modelfile import _split_top, _strip, load_model
 from .poisson import EntryNotOrderZero, NonSkew, check_poisson_tensor, jacobiator, l2_density
 from .shlie import check_shlie_relations, l3
 from .sigma import NotOrthogonal, check_lagrangian_invariance, sigma_euler_check
@@ -35,38 +35,27 @@ from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
 
 
 def _rational_matrix(text: str) -> list[list[Fraction]]:
-    text = text.strip()
+    text, offset = _strip(text, 0)
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", 0)
     rows = []
-    for row_text in _split_bracket_list(text[1:-1]):
-        row_text = row_text.strip()
+    for row_text, row_offset in _split_top(text[1:-1], offset + 1, ","):
+        row_text, row_offset = _strip(row_text, row_offset)
+        if not row_text:
+            continue
         if not (row_text.startswith("[") and row_text.endswith("]")):
             raise ParseError(f"expected a bracketed row, got {row_text!r}", 0)
         row = []
-        for cell in _split_bracket_list(row_text[1:-1]):
+        for cell, _ in _split_top(row_text[1:-1], row_offset + 1, ","):
+            cell = cell.strip()
+            if not cell:
+                continue
             try:
-                row.append(Fraction(cell.strip()))
+                row.append(Fraction(cell))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"expected a rational number, got {cell.strip()!r}", 0) from None
+                raise ParseError(f"expected a rational number, got {cell!r}", 0) from None
         rows.append(row)
     return rows
-
-
-def _split_bracket_list(text: str) -> list[str]:
-    pieces = []
-    depth = 0
-    start = 0
-    for k, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append(text[start:k])
-            start = k + 1
-    pieces.append(text[start:])
-    return [p for p in pieces if p.strip()]
 
 
 def _values(*rows) -> CheckReport:

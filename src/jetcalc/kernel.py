@@ -366,10 +366,6 @@ class Poly:
         self._hash = None
 
     @classmethod
-    def _make(cls, ctx: BundleSpec, terms: dict[Monomial, Fraction]) -> "Poly":
-        return cls(ctx, {m: c for m, c in terms.items() if c})
-
-    @classmethod
     def zero(cls, ctx: BundleSpec) -> "Poly":
         return cls(ctx, {})
 
@@ -383,6 +379,25 @@ class Poly:
         if not g.declared_in(ctx):
             raise UnknownName(repr(g))
         return cls(ctx, {Monomial(((g, 1),)): Fraction(1)})
+
+    @classmethod
+    def sum(cls, ctx: BundleSpec, parts: Iterable["Poly"]) -> "Poly":
+        """The sum of polynomials over `ctx`, accumulated into one term map.
+
+        The first part's terms are copied and every other term is folded in
+        once, instead of building a partial sum per part; `a + b` is the
+        two-part case.  Raises ValueError on a part over another chart.
+        """
+        terms = None
+        for part in parts:
+            if part.ctx is not ctx and part.ctx != ctx:
+                raise ValueError("polynomials over different bundle charts")
+            if terms is None:
+                terms = dict(part._terms)
+                continue
+            for mono, c in part._terms.items():
+                _accumulate(terms, mono, c)
+        return cls(ctx, terms or {})
 
     @classmethod
     def from_terms(cls, ctx: BundleSpec, items: Iterable[tuple[Monomial, Scalar]]) -> "Poly":
@@ -438,11 +453,7 @@ class Poly:
             other = Poly.const(self.ctx, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ctx(other)
-        terms = dict(self._terms)
-        for mono, c in other._terms.items():
-            _accumulate(terms, mono, c)
-        return Poly(self.ctx, terms)
+        return Poly.sum(self.ctx, (self, other))
 
     __radd__ = __add__
 

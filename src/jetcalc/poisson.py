@@ -72,13 +72,10 @@ def validate_omega(omega: OmegaSpec) -> None:
 def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
     """The cyclic sum at (a, b, c), over only the nonzero summands
     omega^{zd} d(omega^{xy})/du^d: the u^d that omega^{xy} contains."""
-    total = Poly.zero(omega.ctx)
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        entry = omega.entry(x, y)
-        for g in entry.generators():
-            if g.is_jet and not g.order and omega.entry(z, g.pos):
-                total = total + omega.entry(z, g.pos) * entry.partial(g)
-    return total
+    return Poly.sum(omega.ctx, (omega.entry(z, g.pos) * omega.entry(x, y).partial(g)
+                                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+                                for g in omega.entry(x, y).generators()
+                                if g.is_jet and not g.order and omega.entry(z, g.pos)))
 
 
 def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
@@ -101,23 +98,19 @@ def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
     return CheckReport(not residuals, tuple(residuals))
 
 
+def _pairing(ep: tuple[Poly, ...], eq: tuple[Poly, ...], omega: OmegaSpec) -> Poly:
+    """omega^{ab} ep[a] eq[b] on two tuples of Euler components."""
+    m = omega.ctx.m
+    return Poly.sum(omega.ctx, (omega.entry(a, b) * ep[a] * eq[b]
+                                for a in range(m) if ep[a]
+                                for b in range(m) if omega.entry(a, b) and eq[b]))
+
+
 def l2_density(p: Poly, q: Poly, omega: OmegaSpec) -> Poly:
     """Bracket density omega^{ab} E_a(p) E_b(q)."""
-    ctx = omega.ctx
-    if p.ctx != ctx or q.ctx != ctx:
+    if p.ctx != omega.ctx or q.ctx != omega.ctx:
         raise ValueError("density over a different chart than omega")
-    ep = euler(p)
-    eq = euler(q)
-    out = Poly.zero(ctx)
-    for a in range(ctx.m):
-        if ep[a].is_zero:
-            continue
-        for b in range(ctx.m):
-            entry = omega.entry(a, b)
-            if entry.is_zero or eq[b].is_zero:
-                continue
-            out = out + entry * ep[a] * eq[b]
-    return out
+    return _pairing(euler(p), euler(q), omega)
 
 
 @dataclass
@@ -141,8 +134,13 @@ def jacobiator(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> Poly:
     """Nested-bracket density with (2,1)-unshuffle signs:
 
     l2(l2(p,q), r) - l2(l2(p,r), q) + l2(l2(q,r), p).
+
+    Each Euler component is computed once: those of p, q and r, and those
+    of the three inner brackets, six `euler` calls in all.
     """
-    out = l2_density(l2_density(p, q, omega), r, omega)
-    out = out - l2_density(l2_density(p, r, omega), q, omega)
-    out = out + l2_density(l2_density(q, r, omega), p, omega)
-    return out
+    if any(d.ctx != omega.ctx for d in (p, q, r)):
+        raise ValueError("density over a different chart than omega")
+    ep, eq, er = euler(p), euler(q), euler(r)
+    pq, pr, qr = (euler(_pairing(x, y, omega)) for x, y in ((ep, eq), (ep, er), (eq, er)))
+    return Poly.sum(omega.ctx, (_pairing(pq, er, omega), -_pairing(pr, eq, omega),
+                                _pairing(qr, ep, omega)))

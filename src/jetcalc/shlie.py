@@ -79,13 +79,12 @@ def l3(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> GradedElement:
 
     Only available over a one-dimensional base; raises NotExact when the
     Jacobiator is not a total derivative (omega failing the Jacobi identity).
+    The Jacobiator is computed once, from one Euler computation per density
+    and per inner bracket.
     """
-    ctx = omega.ctx
-    if ctx.n != 1:
+    if omega.ctx.n != 1:
         raise Unsupported("l3 is implemented over a one-dimensional base")
-    jac = jacobiator(p, q, r, omega)
-    corrected = homotopy_s(HorizontalForm.density(jac))
-    return GradedElement(1, corrected)
+    return GradedElement(1, homotopy_s(HorizontalForm.density(jacobiator(p, q, r, omega))))
 
 
 def check_shlie_relations(omega: OmegaSpec,
@@ -96,7 +95,9 @@ def check_shlie_relations(omega: OmegaSpec,
     For each pair (f, g): l2 of the density f against d_h of the degree-1
     element carried by g must vanish.  For each triple (p, q, r) over a
     one-dimensional base: the Jacobiator plus d_h of l3 must vanish.  Nonzero
-    residuals are reported at `pair[k]` and `triple[k]`.
+    residuals are reported at `pair[k]` and `triple[k]`.  Each triple's
+    Jacobiator is computed once, with each Euler component computed once,
+    and l3 is the homotopy applied to that same Jacobiator.
     """
     residuals: list[tuple[str, Poly]] = []
     for k, (f, g) in enumerate(pairs):
@@ -106,7 +107,9 @@ def check_shlie_relations(omega: OmegaSpec,
             residuals.append((f"pair[{k}]", residual.form.density_coefficient()))
     for k, (p, q, r) in enumerate(triples):
         jac = jacobiator(p, q, r, omega)
-        correction = d_h(l3(p, q, r, omega).form).density_coefficient()
+        if omega.ctx.n != 1:
+            raise Unsupported("l3 is implemented over a one-dimensional base")
+        correction = d_h(homotopy_s(HorizontalForm.density(jac))).density_coefficient()
         residual = jac + correction
         if not residual.is_zero:
             residuals.append((f"triple[{k}]", residual))

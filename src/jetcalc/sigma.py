@@ -128,32 +128,22 @@ def _u_jet(spec: SigmaModelSpec, A: int, direction: int) -> Poly:
 
 def ikeda_lagrangian(spec: SigmaModelSpec) -> Poly:
     """The first-order Lagrangian density in its defining combination."""
-    ctx = spec.bundle
-    N = spec.n_fields
     half = Fraction(1, 2)
-    L = Poly.zero(ctx)
+    parts = []
     for mu, nu, eps in _EPS:
-        for A in range(N):
-            covariant = _u_jet(spec, A, nu)
-            quadratic = Poly.zero(ctx)
-            for B in range(N):
-                entry = spec.w[A][B]
-                if entry.is_zero:
-                    continue
-                covariant = covariant + entry * _w_gen(spec, B, nu)
-                quadratic = quadratic + entry * _w_gen(spec, A, mu) * _w_gen(spec, B, nu)
-            L = L + (_w_gen(spec, A, mu) * covariant - half * quadratic) * eps
-    return L
+        for A in range(spec.n_fields):
+            w_A_mu = _w_gen(spec, A, mu)
+            quadratic = Poly.sum(spec.bundle, (entry * w_A_mu * _w_gen(spec, B, nu)
+                                               for B, entry in enumerate(spec.w[A]) if entry))
+            parts.append((w_A_mu * covariant_derivative(spec, A, nu) - half * quadratic) * eps)
+    return Poly.sum(spec.bundle, parts)
 
 
 def covariant_derivative(spec: SigmaModelSpec, A: int, direction: int) -> Poly:
     """u_{A,nu} + W_{AB} w^B_nu."""
-    out = _u_jet(spec, A, direction)
-    for B in range(spec.n_fields):
-        entry = spec.w[A][B]
-        if not entry.is_zero:
-            out = out + entry * _w_gen(spec, B, direction)
-    return out
+    return Poly.sum(spec.bundle, (_u_jet(spec, A, direction),
+                                  *(entry * _w_gen(spec, B, direction)
+                                    for B, entry in enumerate(spec.w[A]) if entry)))
 
 
 def contracted_curvature(spec: SigmaModelSpec, A: int) -> Poly:
@@ -161,20 +151,17 @@ def contracted_curvature(spec: SigmaModelSpec, A: int) -> Poly:
     ctx = spec.bundle
     N = spec.n_fields
     u_A = Generator.jet(_u_pos(A))
-    out = Poly.zero(ctx)
+    slopes = [(B, C, spec.w[B][C].partial(u_A)) for B in range(N) for C in range(N)]
+    parts = []
     for mu, nu, eps in _EPS:
         d_mu_w_nu = Poly.generator(
             ctx, Generator.jet(_w_pos(N, A, nu), MultiIndex((mu,))))
         d_nu_w_mu = Poly.generator(
             ctx, Generator.jet(_w_pos(N, A, mu), MultiIndex((nu,))))
-        out = out + (d_mu_w_nu - d_nu_w_mu) * eps
-        for B in range(N):
-            for C in range(N):
-                slope = spec.w[B][C].partial(u_A)
-                if slope.is_zero:
-                    continue
-                out = out + slope * _w_gen(spec, B, mu) * _w_gen(spec, C, nu) * eps
-    return out
+        parts.append((d_mu_w_nu - d_nu_w_mu) * eps)
+        parts.extend(slope * _w_gen(spec, B, mu) * _w_gen(spec, C, nu) * eps
+                     for B, C, slope in slopes if slope)
+    return Poly.sum(ctx, parts)
 
 
 def sigma_euler_check(spec: SigmaModelSpec) -> CheckReport:
@@ -250,32 +237,16 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
                 raise NotOrthogonal(f"(M M^T)[{i + 1},{j + 1}] = {dot}")
     ctx = spec.bundle
 
-    def u_image(row_weights) -> list[Poly]:
-        out = []
-        for B in range(N):
-            acc = Poly.zero(ctx)
-            for A in range(N):
-                weight = row_weights(A, B)
-                if weight:
-                    acc = acc + Poly.generator(ctx, Generator.jet(_u_pos(A))) * weight
-            out.append(acc)
-        return out
+    blocks = ([Poly.generator(ctx, Generator.jet(_u_pos(A))) for A in range(N)],
+              [_w_gen(spec, A, 0) for A in range(N)],
+              [_w_gen(spec, A, 1) for A in range(N)])
 
-    def w_image(row_weights, mu: int) -> list[Poly]:
-        out = []
-        for D in range(N):
-            acc = Poly.zero(ctx)
-            for A in range(N):
-                weight = row_weights(A, D)
-                if weight:
-                    acc = acc + _w_gen(spec, A, mu) * weight
-            out.append(acc)
-        return out
+    def image(weight) -> tuple[Poly, ...]:
+        return tuple(Poly.sum(ctx, (gens[A] * weight(A, B) for A in range(N) if weight(A, B)))
+                     for gens in blocks for B in range(N))
 
-    forward = lambda A, B: M[A][B]
-    backward = lambda A, B: M[B][A]
-    psi = tuple(u_image(forward) + w_image(forward, 0) + w_image(forward, 1))
-    psi_inv = tuple(u_image(backward) + w_image(backward, 0) + w_image(backward, 1))
+    psi = image(lambda A, B: M[A][B])
+    psi_inv = image(lambda A, B: M[B][A])
     return Automorphism(ctx, psi, psi_inv)
 
 

@@ -115,10 +115,6 @@ class Automorphism:
         return cached
 
 
-def prolong(auto: Automorphism, a: int, index: MultiIndex) -> Poly:
-    return auto.prolong(a, index)
-
-
 def pullback(p: Poly, auto: Automorphism) -> Poly:
     """Compose a polynomial with the prolonged automorphism."""
     if p.ctx != auto.ctx:
@@ -153,21 +149,16 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
     ctx = omega.ctx
     if auto.ctx != ctx:
         raise ValueError("automorphism over a different chart")
-    substitution = {Generator.jet(c): auto.psi[c] for c in range(ctx.m)}
-    jacobian = [[auto.psi[a].partial(Generator.jet(c)) for c in range(ctx.m)]
-                for a in range(ctx.m)]
+    m = ctx.m
+    substitution = {Generator.jet(c): auto.psi[c] for c in range(m)}
+    jacobian = [[auto.psi[a].partial(Generator.jet(c)) for c in range(m)] for a in range(m)]
     residuals = []
-    for a in range(ctx.m):
-        for b in range(ctx.m):
-            transported = Poly.zero(ctx)
-            for c in range(ctx.m):
-                if jacobian[a][c].is_zero:
-                    continue
-                for d in range(ctx.m):
-                    entry = omega.entry(c, d)
-                    if entry.is_zero or jacobian[b][d].is_zero:
-                        continue
-                    transported = transported + entry * jacobian[a][c] * jacobian[b][d]
+    for a in range(m):
+        for b in range(m):
+            transported = Poly.sum(ctx, (omega.entry(c, d) * jacobian[a][c] * jacobian[b][d]
+                                         for c in range(m) if jacobian[a][c]
+                                         for d in range(m)
+                                         if omega.entry(c, d) and jacobian[b][d]))
             residual = omega.entry(a, b).substitute(substitution) - transported
             if not residual.is_zero:
                 residuals.append((f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]", residual))
@@ -198,12 +189,9 @@ def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
     lhs = euler(pullback(p, auto))
     moved_parts = [pullback(part, auto) for part in euler(p)]
     for a in range(ctx.m):
-        rhs = Poly.zero(ctx)
-        for c in range(ctx.m):
-            factor = auto.psi[c].partial(Generator.jet(a))
-            if factor.is_zero or moved_parts[c].is_zero:
-                continue
-            rhs = rhs + factor * moved_parts[c]
+        factors = (psi_c.partial(Generator.jet(a)) for psi_c in auto.psi)
+        rhs = Poly.sum(ctx, (factor * moved for factor, moved in zip(factors, moved_parts)
+                             if factor and moved))
         if lhs[a] != rhs:
             return CheckReport(False)
     return CheckReport(True)
@@ -279,10 +267,10 @@ class FiniteGroupAction:
 
 def group_average(form: HorizontalForm, group: FiniteGroupAction) -> HorizontalForm:
     """Average the pullbacks over the group: the invariance projection."""
-    total = HorizontalForm.zero(form.ctx, form.degree)
-    for g in group.elements:
-        total = total + pullback_form(form, g)
-    return total * Fraction(1, group.order)
+    scale = Fraction(1, group.order)
+    return HorizontalForm(form.ctx, form.degree, [
+        (idx, Poly.sum(form.ctx, (pullback(poly, g) for g in group.elements)) * scale)
+        for idx, poly in form.coeffs])
 
 
 def check_invariance(form: HorizontalForm, group: FiniteGroupAction) -> CheckReport:

@@ -185,15 +185,13 @@ def d_h(form: HorizontalForm) -> HorizontalForm:
 def euler(p: Poly) -> tuple[Poly, ...]:
     """All Euler-Lagrange components of a density, one per fiber."""
     ctx = p.ctx
-    out = [Poly.zero(ctx) for _ in range(ctx.m)]
+    parts: list[list[Poly]] = [[] for _ in range(ctx.m)]
     for g in sorted(p.generators()):
         if not g.is_jet:
             continue
         term = iterated_total_derivative(p.partial(g), g.index)
-        if g.index.order % 2:
-            term = -term
-        out[g.pos] = out[g.pos] + term
-    return tuple(out)
+        parts[g.pos].append(-term if g.index.order % 2 else term)
+    return tuple(Poly.sum(ctx, fiber) for fiber in parts)
 
 
 def is_divergence(p: Poly) -> bool:
@@ -223,14 +221,14 @@ def invert_total_derivative(h: Poly) -> Poly:
     ctx = h.ctx
     if ctx.n != 1:
         raise Unsupported("invert_total_derivative requires a one-dimensional base")
-    result = Poly.zero(ctx)
+    pieces = []
     current = h
     while not current.is_zero:
         k = current.max_order()
         if k == 0:
             if any(g.is_jet for g in current.generators()):
                 raise NotExact("terminal remainder still depends on fiber coordinates")
-            result = result + _antiderivative(current, Generator.base(0))
+            pieces.append(_antiderivative(current, Generator.base(0)))
             break
         for mono, _ in current.items():
             top_degree = sum(e for g, e in mono.powers if g.is_jet and g.index.order == k)
@@ -242,10 +240,11 @@ def invert_total_derivative(h: Poly) -> Poly:
             if coeff.is_zero:
                 continue
             piece = _antiderivative(coeff, Generator.jet(a, MultiIndex((0,) * (k - 1))))
-            result = result + piece
+            pieces.append(piece)
             current = current - total_derivative(piece, 0)
         if not current.is_zero and current.max_order() >= k:
             raise NotExact(f"integrability failure at jet order {k}")
+    result = Poly.sum(ctx, pieces)
     return result - Poly.const(ctx, result.constant_term())
 
 

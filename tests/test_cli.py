@@ -322,6 +322,24 @@ class TestChecks:
         assert "M M^T" in err
         assert invoke("check", "sigma-invariance", models["sigma"], "nonsense")[0] == 2
 
+    @pytest.mark.parametrize("matrix, message", [
+        ("nonsense", "expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]"
+                     " (at position 0)"),
+        ("[[1, 0, 0], 0, [0, 0, 1]]", "expected a bracketed row, got '0' (at position 0)"),
+        ("[[1, 0, 0], [0, a, 0], [0, 0, 1]]",
+         "expected a rational number, got 'a' (at position 0)"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1/0]]",
+         "expected a rational number, got '1/0' (at position 0)"),
+        ("[[1, 0, 0], [0, 1, 0]], [0, 0, 1]]", "unbalanced bracket (at position 21)"),
+    ])
+    def test_sigma_invariance_matrix_syntax(self, invoke, models, matrix, message):
+        assert invoke("check", "sigma-invariance", models["sigma"], matrix) == (
+            2, "", f"error: {message}\n")
+
+    def test_sigma_invariance_matrix_tolerates_blanks(self, invoke, models):
+        identity = " [[1, 0, 0], [ 0, 1, 0 ], [0, 0, 1],] "
+        assert invoke("check", "sigma-invariance", models["sigma"], identity) == (0, "pass\n", "")
+
 
 class TestJson:
     def test_shape_and_key_order(self, invoke, models):

@@ -217,6 +217,24 @@ class TestPolyAlgebra:
         with pytest.raises(ValueError):
             Poly.const(ctx1, 1) + Poly.const(ctx2, 1)
 
+    def test_sum_of_no_parts_is_zero(self, ctx1):
+        assert Poly.sum(ctx1, ()).is_zero
+        assert Poly.sum(ctx1, iter(())) == Poly.zero(ctx1)
+
+    def test_sum_of_cancelling_parts_is_zero(self, ctx1):
+        u1 = Poly.generator(ctx1, gen_u(ctx1, 0))
+        u2 = Poly.generator(ctx1, gen_u(ctx1, 1))
+        assert Poly.sum(ctx1, (u1 + u2, -u1, u1 * u2, -u2, -(u1 * u2))).is_zero
+        assert Poly.sum(ctx1, [u1 + u2, -u1]) == u2
+
+    def test_sum_rejects_other_chart(self, ctx1, ctx2):
+        parts = (Poly.const(ctx1, 1), Poly.const(ctx2, 1))
+        for ctx in (ctx1, ctx2):
+            with pytest.raises(ValueError, match="polynomials over different bundle charts"):
+                Poly.sum(ctx, parts)
+        with pytest.raises(ValueError, match="polynomials over different bundle charts"):
+            Poly.sum(ctx2, (Poly.zero(ctx1),))
+
     def test_seeded_ring_axioms(self, ctx2):
         rng = helpers.seeded(2024)
         for _ in range(200):

@@ -1,7 +1,7 @@
 """Kernel arithmetic against sympy as an independent oracle.
 
 Random polynomials with rational coefficients over a chart with two base
-directions, two fibers and a parameter are multiplied, powered,
+directions, two fibers and a parameter are summed, multiplied, powered,
 differentiated and substituted by jetcalc and by sympy; the results must agree
 exactly.  Every result is also checked to be in canonical form, and the
 monomial fast paths are compared with the validating constructor.
@@ -56,6 +56,11 @@ class TestKernelOracle:
     @given(polys(), polys())
     def test_product(self, p, q):
         assert_agrees(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
+
+    @ORACLE
+    @given(st.lists(polys(), max_size=6))
+    def test_sum(self, parts):
+        assert_agrees(Poly.sum(CTX, parts), sympy.Add(*map(to_sympy, parts)))
 
     @ORACLE
     @given(polys(max_terms=3), st.integers(0, 8))

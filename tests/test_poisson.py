@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import jetcalc.poisson
 from jetcalc import (
     BundleSpec,
     EntryNotOrderZero,
@@ -279,6 +280,20 @@ class TestJacobiator:
             q = helpers.random_poly(rng, ctx3, max_degree=2, max_terms=2)
             r = helpers.random_poly(rng, ctx3, max_degree=2, max_terms=2)
             assert is_divergence(jacobiator(p, q, r, omega_so3))
+
+    def test_chart_mismatch(self, ctx1, ctx2, omega_std):
+        u1, other = parse_expr("u1", ctx1), parse_expr("u1", ctx2)
+        for args in ((other, u1, u1), (u1, other, u1), (u1, u1, other)):
+            with pytest.raises(ValueError, match="density over a different chart than omega"):
+                jacobiator(*args, omega_std)
+
+    def test_each_euler_component_once(self, ctx1, omega_std, monkeypatch):
+        calls = []
+        euler = jetcalc.poisson.euler
+        monkeypatch.setattr(jetcalc.poisson, "euler", lambda p: calls.append(p) or euler(p))
+        p, q, r = (parse_expr(s, ctx1) for s in ("u1*u2_x", "u1*u2", "u1^2"))
+        assert jacobiator(p, q, r, omega_std) == parse_expr("4*u1*u1_x", ctx1)
+        assert len(calls) == 6
 
     def test_non_poisson_breaks_jacobi(self, ctx3, omega_bad_jacobi):
         out = jacobiator(

@@ -2,6 +2,8 @@
 
 import pytest
 
+import jetcalc.poisson
+import jetcalc.shlie
 from jetcalc import (
     DegreeError,
     GradedElement,
@@ -120,7 +122,7 @@ class TestL3:
     def test_two_dim_unsupported(self, ctx2):
         omega = omega_from(ctx2, (("0", "1"), ("-1", "0")))
         u = parse_expr("u1", ctx2)
-        with pytest.raises(Unsupported):
+        with pytest.raises(Unsupported, match="l3 is implemented over a one-dimensional base"):
             l3(u, u, u, omega)
 
     def test_non_poisson_omega_not_exact(self, ctx3):
@@ -146,6 +148,24 @@ class TestCheckRelations:
         g = HorizontalForm.scalar(parse_expr("u1*u2", ctx1))
         report = check_shlie_relations(omega_std, pairs=[(f, g)])
         assert report.passed
+
+    def test_one_jacobiator_per_triple(self, ctx1, omega_std, monkeypatch):
+        jacobiators, eulers = [], []
+        jac, euler = jetcalc.shlie.jacobiator, jetcalc.poisson.euler
+        monkeypatch.setattr(jetcalc.shlie, "jacobiator",
+                            lambda *args: jacobiators.append(args) or jac(*args))
+        monkeypatch.setattr(jetcalc.poisson, "euler", lambda p: eulers.append(p) or euler(p))
+        rng = helpers.seeded(505)
+        triples = [tuple(helpers.random_poly(rng, ctx1) for _ in range(3)) for _ in range(4)]
+        assert check_shlie_relations(omega_std, triples=triples).passed
+        assert len(jacobiators) == 4
+        assert len(eulers) == 6 * 4
+
+    def test_two_dim_unsupported(self, ctx2):
+        omega = omega_from(ctx2, (("0", "1"), ("-1", "0")))
+        u = parse_expr("u1", ctx2)
+        with pytest.raises(Unsupported, match="l3 is implemented over a one-dimensional base"):
+            check_shlie_relations(omega, triples=[(u, u, u)])
 
     def test_not_exact_propagates(self, ctx3):
         omega = omega_from(ctx3, (("0", "u1", "0"), ("-u1", "0", "u2"), ("0", "-u2", "0")))
