@@ -40,14 +40,12 @@ def _rational_matrix(text: str) -> list[list[Fraction]]:
         raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", 0)
     rows = []
     for row_text, row_offset in _split_top(text[1:-1], offset + 1, ","):
-        row_text, row_offset = _strip(row_text, row_offset)
         if not row_text:
             continue
         if not (row_text.startswith("[") and row_text.endswith("]")):
             raise ParseError(f"expected a bracketed row, got {row_text!r}", 0)
         row = []
         for cell, _ in _split_top(row_text[1:-1], row_offset + 1, ","):
-            cell = cell.strip()
             if not cell:
                 continue
             try:

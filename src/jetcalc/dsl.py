@@ -116,15 +116,15 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        p = self.term()
+        parts = [self.term()]
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 q = self.term()
-                p = p + q if text == "+" else p - q
+                parts.append(q if text == "+" else -q)
             else:
-                return p
+                return Poly.sum(self.ctx, parts)
 
     def term(self) -> Poly:
         p = self.factor()

@@ -14,13 +14,17 @@ A model declares its chart either with ``bundle`` (any base and fibers, plus
 an optional ``omega``) or with ``sigma`` (which generates the two-dimensional
 chart and the block structure matrix itself), never both.  Statements are
 processed in order: the chart declaration comes first, definitions may then
-use its names, and a ``group`` lists previously declared automorphisms.
+use its names, and a ``group`` lists previously declared automorphisms.  A
+``bundle`` or ``sigma`` block names each key once.  An automorphism's inverse
+is the last ``inv { ... }`` block in its body, so ``inv`` may also be a chart
+name.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .dsl import ParseError, parse_expr
 from .kernel import BundleSpec, Poly, UnknownName
@@ -46,7 +50,10 @@ def _blank_comments(text: str) -> str:
 
 
 def _split_top(text: str, offset: int, separators: str) -> list[tuple[str, int]]:
-    """Split at top-level separator characters, tracking bracket depth."""
+    """Split at top-level separator characters, tracking bracket depth.
+
+    Each piece comes back stripped, with the offset of its first character.
+    """
     pieces = []
     depth = 0
     start = 0
@@ -58,11 +65,11 @@ def _split_top(text: str, offset: int, separators: str) -> list[tuple[str, int]]
             if depth < 0:
                 raise ParseError("unbalanced bracket", offset + k)
         elif depth == 0 and ch in separators:
-            pieces.append((text[start:k], offset + start))
+            pieces.append(_strip(text[start:k], offset + start))
             start = k + 1
     if depth != 0:
         raise ParseError("unbalanced bracket", offset + len(text))
-    pieces.append((text[start:], offset + start))
+    pieces.append(_strip(text[start:], offset + start))
     return pieces
 
 
@@ -71,10 +78,10 @@ def _strip(piece: str, offset: int) -> tuple[str, int]:
     return stripped.rstrip(), offset + len(piece) - len(stripped)
 
 
-def _unbracket(text: str, offset: int, open_ch: str = "[", close_ch: str = "]") -> tuple[str, int]:
+def _unbracket(text: str, offset: int) -> tuple[str, int]:
     text, offset = _strip(text, offset)
-    if not text.startswith(open_ch) or not text.endswith(close_ch):
-        raise ParseError(f"expected {open_ch}...{close_ch}", offset)
+    if not text.startswith("[") or not text.endswith("]"):
+        raise ParseError("expected [...]", offset)
     return text[1:-1], offset + 1
 
 
@@ -83,12 +90,38 @@ def _parse_name_list(text: str, offset: int) -> list[str]:
     if not inner.strip():
         return []
     names = []
-    for piece, off in _split_top(inner, inner_off, ","):
-        name, off = _strip(piece, off)
+    for name, off in _split_top(inner, inner_off, ","):
         if not _NAME.match(name):
             raise ParseError(f"expected a name, got {name!r}", off)
         names.append(name)
     return names
+
+
+def _read_block(text: str, offset: int, head: str, readers: dict[str, Callable[[str, int], Any]],
+                message: str) -> tuple[dict[str, Any], dict[str, int]]:
+    """Read ``head { key = value; ... }``, naming each key at most once.
+
+    Each value goes to its key's reader, with the value's offset, as soon as
+    its piece is reached.  Returns the values read and each key's offset; an
+    unknown key raises `message`.
+    """
+    m = re.match(head + r"\s*\{(.*)\}\Z", text, re.DOTALL)
+    if m is None:
+        raise ParseError(f"expected {head} {{ ... }}", offset)
+    values: dict[str, Any] = {}
+    where: dict[str, int] = {}
+    for piece, off in _split_top(m.group(1), offset + m.start(1), ";\n"):
+        if not piece:
+            continue
+        key, eq, value = piece.partition("=")
+        key = key.rstrip()
+        if not eq or key not in readers:
+            raise ParseError(message, off)
+        if key in values:
+            raise ParseError(f"duplicate {key!r}", off)
+        values[key] = readers[key](value, off + piece.index("=") + 1)
+        where[key] = off
+    return values, where
 
 
 def _parse_expr_at(text: str, offset: int, ctx: BundleSpec) -> Poly:
@@ -104,11 +137,9 @@ def _parse_matrix(text: str, offset: int, ctx: BundleSpec) -> tuple[tuple[Poly, 
     inner, inner_off = _unbracket(text, offset)
     rows = []
     for row_text, row_off in _split_top(inner, inner_off, ","):
-        row_text, row_off = _strip(row_text, row_off)
         row_inner, cell_off = _unbracket(row_text, row_off)
         row = []
         for cell, off in _split_top(row_inner, cell_off, ","):
-            cell, off = _strip(cell, off)
             if not cell:
                 raise ParseError("empty matrix entry", off)
             row.append(_parse_expr_at(cell, off, ctx))
@@ -159,43 +190,29 @@ class ModelFile:
 class _ModelParser:
     def __init__(self, text: str):
         self.text = _blank_comments(text)
-        self.bundle: BundleSpec | None = None
-        self.omega_raw: tuple[str, int] | None = None
-        self.omega: OmegaSpec | None = None
-        self.definitions: dict[str, Poly] = {}
-        self.automorphisms: dict[str, Automorphism] = {}
-        self.groups: dict[str, FiniteGroupAction] = {}
-        self.sigma: SigmaModelSpec | None = None
+        self.model: ModelFile | None = None
 
     def parse(self) -> ModelFile:
-        for piece, offset in _split_top(self.text, 0, ";\n"):
-            statement, offset = _strip(piece, offset)
+        for statement, offset in _split_top(self.text, 0, ";\n"):
             if statement:
                 self.statement(statement, offset)
-        if self.bundle is None:
+        if self.model is None:
             raise ParseError("the model declares no chart (bundle or sigma)", 0)
-        return ModelFile(
-            bundle=self.bundle,
-            omega=self.omega,
-            definitions=self.definitions,
-            automorphisms=self.automorphisms,
-            groups=self.groups,
-            sigma=self.sigma,
-        )
+        return self.model
 
-    def require_chart(self, offset: int) -> BundleSpec:
-        if self.bundle is None:
+    def require_chart(self, offset: int) -> ModelFile:
+        if self.model is None:
             raise ParseError("the chart (bundle or sigma) must be declared first", offset)
-        return self.bundle
+        return self.model
 
-    def check_fresh(self, name: str, offset: int):
-        taken = (name in self.definitions or name in self.automorphisms
-                 or name in self.groups)
-        if self.bundle is not None:
-            taken = taken or name in (self.bundle.base_dims + self.bundle.fibers
-                                      + self.bundle.params)
-        if taken:
+    def require_fresh(self, name: str, offset: int) -> ModelFile:
+        """The model, once `name` is known to name nothing in it yet."""
+        model = self.require_chart(offset)
+        ctx = model.bundle
+        if (name in model.definitions or name in model.automorphisms or name in model.groups
+                or name in ctx.base_dims + ctx.fibers + ctx.params):
             raise ParseError(f"the name {name!r} is already in use", offset)
+        return model
 
     def statement(self, text: str, offset: int):
         head = text.split(None, 1)[0].split("{", 1)[0].split("=", 1)[0]
@@ -205,106 +222,69 @@ class _ModelParser:
         handler(text, offset)
 
     def stmt_bundle(self, text: str, offset: int):
-        if self.bundle is not None:
+        if self.model is not None:
             raise ParseError("the chart is already declared", offset)
-        m = re.match(r"bundle\s*\{(.*)\}\Z", text, re.DOTALL)
-        if m is None:
-            raise ParseError("expected bundle { ... }", offset)
-        inner_off = offset + m.start(1)
-        fields = {"base": None, "fibers": None, "params": None}
-        for piece, off in _split_top(m.group(1), inner_off, ";\n"):
-            piece, off = _strip(piece, off)
-            if not piece:
-                continue
-            key, eq, value = piece.partition("=")
-            key = key.strip()
-            if not eq or key not in fields:
-                raise ParseError("expected base/fibers/params = [...]", off)
-            if fields[key] is not None:
-                raise ParseError(f"duplicate {key!r}", off)
-            fields[key] = _parse_name_list(value, off + piece.index("=") + 1)
-        if fields["base"] is None or fields["fibers"] is None:
+        names, _ = _read_block(text, offset, "bundle",
+                               dict.fromkeys(("base", "fibers", "params"), _parse_name_list),
+                               "expected base/fibers/params = [...]")
+        if "base" not in names or "fibers" not in names:
             raise ParseError("bundle needs both base and fibers", offset)
         try:
-            self.bundle = BundleSpec(tuple(fields["base"]), tuple(fields["fibers"]),
-                                     tuple(fields["params"] or ()))
+            bundle = BundleSpec(tuple(names["base"]), tuple(names["fibers"]),
+                                tuple(names.get("params", ())))
         except ValueError as exc:
             raise ParseError(str(exc), offset) from None
+        self.model = ModelFile(bundle)
 
     def stmt_omega(self, text: str, offset: int):
-        if self.omega is not None:
+        model = self.require_chart(offset)
+        if model.omega is not None:
             raise ParseError("omega is already declared", offset)
-        if self.sigma is not None:
-            raise ParseError("a sigma model declares its own omega", offset)
-        ctx = self.require_chart(offset)
         _, eq, value = text.partition("=")
         if not eq:
             raise ParseError("expected omega = [[...], ...]", offset)
-        matrix = _parse_matrix(value, offset + text.index("=") + 1, ctx)
+        matrix = _parse_matrix(value, offset + text.index("=") + 1, model.bundle)
         try:
-            omega = OmegaSpec(ctx, matrix)
+            omega = OmegaSpec(model.bundle, matrix)
         except ValueError as exc:
             raise ParseError(str(exc), offset) from None
         validate_omega(omega)
-        self.omega = omega
+        model.omega = omega
 
     def stmt_let(self, text: str, offset: int):
         m = re.match(r"let\s+([A-Za-z][A-Za-z0-9]*)\s*=\s*(.*)\Z", text, re.DOTALL)
         if m is None:
             raise ParseError("expected let NAME = expression", offset)
-        ctx = self.require_chart(offset)
         name = m.group(1)
-        self.check_fresh(name, offset)
-        self.definitions[name] = _parse_expr_at(m.group(2), offset + m.start(2), ctx)
+        model = self.require_fresh(name, offset)
+        model.definitions[name] = _parse_expr_at(m.group(2), offset + m.start(2), model.bundle)
 
     def stmt_auto(self, text: str, offset: int):
         m = re.match(r"auto\s+([A-Za-z][A-Za-z0-9]*)\s*\{(.*)\}\Z", text, re.DOTALL)
         if m is None:
             raise ParseError("expected auto NAME { ... }", offset)
-        ctx = self.require_chart(offset)
         name = m.group(1)
-        self.check_fresh(name, offset)
-        inner, inner_off = m.group(2), offset + m.start(2)
-        split_at = self._find_inv(inner)
-        if split_at is None:
+        model = self.require_fresh(name, offset)
+        inner_off = offset + m.start(2)
+        split = re.match(r"(.*)(?<![A-Za-z0-9])inv\s*\{(.*)\}\s*\Z", m.group(2), re.DOTALL)
+        if split is None:
             raise ParseError("an automorphism needs an inv { ... } block", inner_off)
-        forward_text = inner[:split_at]
-        inv_text, inv_off = _strip(inner[split_at + 3:], inner_off + split_at + 3)
-        inv_m = re.match(r"\{(.*)\}\Z", inv_text, re.DOTALL)
-        if inv_m is None:
-            raise ParseError("expected inv { ... }", inv_off)
-        psi = self._parse_mappings(forward_text, inner_off, ctx)
-        psi_inv = self._parse_mappings(inv_m.group(1), inv_off + inv_m.start(1), ctx)
+        psi = self._parse_mappings(split.group(1), inner_off, model.bundle)
+        psi_inv = self._parse_mappings(split.group(2), inner_off + split.start(2), model.bundle)
         try:
-            self.automorphisms[name] = Automorphism(ctx, psi, psi_inv)
+            model.automorphisms[name] = Automorphism(model.bundle, psi, psi_inv)
         except ValueError as exc:
             raise ParseError(f"invalid automorphism {name!r}: {exc}", offset) from None
-
-    @staticmethod
-    def _find_inv(text: str) -> int | None:
-        depth = 0
-        for k, ch in enumerate(text):
-            if ch in _OPEN:
-                depth += 1
-            elif ch in _CLOSE:
-                depth -= 1
-            elif depth == 0 and text[k:k + 3] == "inv":
-                before = text[k - 1] if k else " "
-                after = text[k + 3] if k + 3 < len(text) else " "
-                if not before.isalnum() and not after.isalnum():
-                    return k
-        return None
 
     def _parse_mappings(self, text: str, offset: int, ctx: BundleSpec) -> tuple[Poly, ...]:
         images: dict[int, Poly] = {}
         for piece, off in _split_top(text, offset, ","):
-            piece, off = _strip(piece, off)
             if not piece:
                 continue
-            target, arrow, value = piece.partition("->")
+            fiber, arrow, value = piece.partition("->")
             if not arrow:
                 raise ParseError("expected fiber -> expression", off)
-            fiber = target.strip()
+            fiber = fiber.rstrip()
             if fiber not in ctx.fibers:
                 raise UnknownName(fiber, off)
             a = ctx.fiber_index(fiber)
@@ -320,58 +300,38 @@ class _ModelParser:
         m = re.match(r"group\s+([A-Za-z][A-Za-z0-9]*)\s*=\s*(\[.*\])\Z", text, re.DOTALL)
         if m is None:
             raise ParseError("expected group NAME = [autoA, ...]", offset)
-        self.require_chart(offset)
         name = m.group(1)
-        self.check_fresh(name, offset)
+        model = self.require_fresh(name, offset)
         members = []
         for member in _parse_name_list(m.group(2), offset + m.start(2)):
-            if member not in self.automorphisms:
+            if member not in model.automorphisms:
                 raise UnknownName(member, offset)
-            members.append(self.automorphisms[member])
+            members.append(model.automorphisms[member])
         try:
-            self.groups[name] = FiniteGroupAction(tuple(members))
+            model.groups[name] = FiniteGroupAction(tuple(members))
         except ValueError as exc:
             raise ParseError(f"invalid group {name!r}: {exc}", offset) from None
 
     def stmt_sigma(self, text: str, offset: int):
-        if self.bundle is not None:
+        if self.model is not None:
             raise ParseError("a sigma model declares its own chart; "
                              "drop the separate bundle statement", offset)
-        m = re.match(r"sigma\s*\{(.*)\}\Z", text, re.DOTALL)
-        if m is None:
-            raise ParseError("expected sigma { ... }", offset)
-        inner_off = offset + m.start(1)
-        n_text = w_text = None
-        n_off = w_off = 0
-        for piece, off in _split_top(m.group(1), inner_off, ";\n"):
-            piece, off = _strip(piece, off)
-            if not piece:
-                continue
-            key, eq, value = piece.partition("=")
-            key = key.strip()
-            if not eq or key not in ("n", "w"):
-                raise ParseError("expected n = ... or w = [[...], ...]", off)
-            if key == "n":
-                if n_text is not None:
-                    raise ParseError("duplicate n", off)
-                n_text, n_off = value.strip(), off
-            else:
-                if w_text is not None:
-                    raise ParseError("duplicate w", off)
-                w_text, w_off = value, off + piece.index("=") + 1
-        if n_text is None or w_text is None:
+        raw, where = _read_block(text, offset, "sigma",
+                                 dict.fromkeys("nw", lambda value, at: (value, at)),
+                                 "expected n = ... or w = [[...], ...]")
+        if raw.keys() != {"n", "w"}:
             raise ParseError("sigma needs both n and w", offset)
+        n_text = raw["n"][0].strip()
         if not n_text.isdigit() or int(n_text) < 1:
-            raise ParseError("n must be a positive integer", n_off)
+            raise ParseError("n must be a positive integer", where["n"])
         n_fields = int(n_text)
         chart = sigma_bundle(n_fields)
-        matrix = _parse_matrix(w_text, w_off, chart)
+        matrix = _parse_matrix(*raw["w"], chart)
         try:
             spec = SigmaModelSpec(n_fields, matrix, chart)
         except ValueError as exc:
             raise ParseError(str(exc), offset) from None
-        self.sigma = spec
-        self.bundle, self.omega = build_sigma(spec)
+        self.model = ModelFile(*build_sigma(spec), sigma=spec)
 
 
 def parse_model(text: str) -> ModelFile:

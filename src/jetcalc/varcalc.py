@@ -169,7 +169,7 @@ def d_h(form: HorizontalForm) -> HorizontalForm:
     ctx = form.ctx
     if form.degree >= ctx.n:
         raise DegreeError("d_h on a top-degree form")
-    out: dict[tuple[int, ...], Poly] = {}
+    parts: dict[tuple[int, ...], list[Poly]] = {}
     for idx, poly in form.coeffs:
         for i in range(ctx.n):
             if i in idx:
@@ -177,9 +177,9 @@ def d_h(form: HorizontalForm) -> HorizontalForm:
             insert_at = sum(1 for j in idx if j < i)
             sign = -1 if insert_at % 2 else 1
             key = tuple(sorted(idx + (i,)))
-            contribution = total_derivative(poly, i) * sign
-            out[key] = out.get(key, Poly.zero(ctx)) + contribution
-    return HorizontalForm(ctx, form.degree + 1, out)
+            parts.setdefault(key, []).append(total_derivative(poly, i) * sign)
+    return HorizontalForm(ctx, form.degree + 1,
+                          {key: Poly.sum(ctx, terms) for key, terms in parts.items()})
 
 
 def euler(p: Poly) -> tuple[Poly, ...]:

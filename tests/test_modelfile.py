@@ -172,6 +172,15 @@ class TestAutoStatement:
             parse_model(self.BASE +
                         "auto A { u1 -> 2*u1, u2 -> u2 inv { u1 -> u1, u2 -> u2 } }")
 
+    def test_chart_name_inv(self):
+        # only the last `inv {` opens the inverse block; `inv` alone is a name
+        model = parse_model("bundle { base = [x]; fibers = [u1, u2]; params = [inv] }\n"
+                            "auto A { u1 -> u1 + inv*u2, u2 -> u2 "
+                            "inv { u1 -> u1 - inv*u2, u2 -> u2 } }")
+        ctx = model.bundle
+        psi = model.get_automorphism("A").psi
+        assert psi == (parse_expr("u2*inv + u1", ctx), parse_expr("u2", ctx))
+
 
 class TestGroupStatement:
     def test_member_must_exist(self):
@@ -247,3 +256,147 @@ class TestSigmaStatement:
     def test_lets_may_use_generated_names(self):
         model = parse_model("sigma { n = 1; w = [[0]] }\nlet P = w10*u1_x1")
         assert "P" in model.definitions
+
+
+_B2 = "bundle { base = [x]; fibers = [u1, u2] }\n"
+_ID = "auto Id { u1 -> u1, u2 -> u2 inv { u1 -> u1, u2 -> u2 } }\n"
+_INV = "inv { u1 -> u2, u2 -> u1 }"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # statements and the chart
+    pytest.param("definitely not a statement", ParseError,
+                 "unknown statement 'definitely' (at position 0)", id="unknown-statement"),
+    pytest.param("# only comments\n", ParseError,
+                 "the model declares no chart (bundle or sigma) (at position 0)", id="no-chart"),
+    pytest.param("let P = u1", ParseError,
+                 "the chart (bundle or sigma) must be declared first (at position 0)",
+                 id="chart-first"),
+    pytest.param(_B2 + "let P = u1\nlet P = u1^2", ParseError,
+                 "the name 'P' is already in use (at position 52)", id="name-in-use"),
+    pytest.param(_B2 + "let u1 = u2", ParseError,
+                 "the name 'u1' is already in use (at position 41)", id="chart-name-in-use"),
+    pytest.param("bundle { base = [x]; fibers = [u1] ", ParseError,
+                 "unbalanced bracket (at position 35)", id="unbalanced-open"),
+    pytest.param("bundle { base = [x]]; fibers = [u1] }", ParseError,
+                 "unbalanced bracket (at position 36)", id="unbalanced-close"),
+    # bundle
+    pytest.param(_B2 + "bundle { base = [y]; fibers = [v] }", ParseError,
+                 "the chart is already declared (at position 41)", id="bundle-twice"),
+    pytest.param("bundle base = [x]", ParseError,
+                 "expected bundle { ... } (at position 0)", id="bundle-syntax"),
+    pytest.param("bundle { base = [x]; fibers = [u1]; rank = [2] }", ParseError,
+                 "expected base/fibers/params = [...] (at position 36)", id="bundle-unknown-key"),
+    pytest.param("bundle { base [x]; fibers = [u1] }", ParseError,
+                 "expected base/fibers/params = [...] (at position 9)", id="bundle-no-equals"),
+    pytest.param("bundle { base = [x]; base = [y]; fibers = [u1] }", ParseError,
+                 "duplicate 'base' (at position 21)", id="bundle-duplicate-key"),
+    pytest.param("bundle { base = [x] }", ParseError,
+                 "bundle needs both base and fibers (at position 0)", id="bundle-missing-key"),
+    pytest.param("bundle { base = x; fibers = [u1] }", ParseError,
+                 "expected [...] (at position 16)", id="name-list-unbracketed"),
+    pytest.param("bundle { base = [x, 2y]; fibers = [u1] }", ParseError,
+                 "expected a name, got '2y' (at position 20)", id="name-list-bad-name"),
+    pytest.param("bundle { base = [x, ]; fibers = [u1] }", ParseError,
+                 "expected a name, got '' (at position 20)", id="name-list-empty-name"),
+    pytest.param("bundle { base = [x, x]; fibers = [u1] }", ParseError,
+                 "base, fiber and parameter names must be distinct (at position 0)",
+                 id="bundle-names-distinct"),
+    pytest.param("bundle { base = [2x]; rank = [1] }", ParseError,
+                 "expected a name, got '2x' (at position 17)", id="bundle-value-read-first"),
+    # omega
+    pytest.param(_B2 + "omega = [[0, 1], [-1, 0]]\nomega = [[0, 1], [-1, 0]]", ParseError,
+                 "omega is already declared (at position 67)", id="omega-twice"),
+    pytest.param("sigma { n = 1; w = [[0]] }\nomega = [[0]]", ParseError,
+                 "omega is already declared (at position 27)", id="omega-after-sigma"),
+    pytest.param(_B2 + "omega [[0, 1], [-1, 0]]", ParseError,
+                 "expected omega = [[...], ...] (at position 41)", id="omega-syntax"),
+    pytest.param(_B2 + "omega = [[0, 1]]", ParseError,
+                 "omega must be 2x2 to match the fibers (at position 41)", id="omega-shape"),
+    pytest.param(_B2 + "omega = [[0, ], [-1, 0]]", ParseError,
+                 "empty matrix entry (at position 54)", id="matrix-empty-entry"),
+    pytest.param(_B2 + "omega = [0, 1]", ParseError,
+                 "expected [...] (at position 50)", id="matrix-row-unbracketed"),
+    pytest.param(_B2 + "omega = [[0, 1 +], [-1, 0]]", ParseError,
+                 "unexpected end of input (at position 57)", id="matrix-bad-entry"),
+    pytest.param(_B2 + "omega = [[0, zz], [-zz, 0]]", UnknownName,
+                 "unknown name 'zz' at position 54", id="matrix-unknown-name"),
+    pytest.param(_B2 + "omega = [[0, 1], [1, 0]]", NonSkew,
+                 "omega[u1,u2] != -omega[u2,u1]", id="omega-non-skew"),
+    # let
+    pytest.param(_B2 + "let 1P = u1", ParseError,
+                 "expected let NAME = expression (at position 41)", id="let-syntax"),
+    pytest.param(_B2 + "let P = u1 + ", ParseError,
+                 "unexpected end of input (at position 53)", id="let-bad-expression"),
+    # auto
+    pytest.param(_B2 + "auto { u1 -> u2 }", ParseError,
+                 "expected auto NAME { ... } (at position 41)", id="auto-syntax"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> -u1 }", ParseError,
+                 "an automorphism needs an inv { ... } block (at position 49)", id="missing-inv"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> u1 inv u1 -> u2 }", ParseError,
+                 "an automorphism needs an inv { ... } block (at position 49)",
+                 id="inv-without-brace"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> u1 " + _INV + " u1 }", ParseError,
+                 "an automorphism needs an inv { ... } block (at position 49)",
+                 id="text-after-inv-block"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> u1 " + _INV + " " + _INV + " }", ParseError,
+                 "unexpected character '{' (at position 73)", id="two-inv-blocks"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> u1_" + _INV + " }", UnknownName,
+                 "unknown name 'u1_' at position 66", id="inv-after-underscore"),
+    pytest.param(_B2 + "auto A { u1 u2, u2 -> u1 " + _INV + " }", ParseError,
+                 "expected fiber -> expression (at position 50)", id="mapping-no-arrow"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> u1, u3 -> u3 " + _INV + " }", UnknownName,
+                 "unknown name 'u3' at position 70", id="mapping-unknown-fiber"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u1 -> u1, u2 -> u1 " + _INV + " }", ParseError,
+                 "duplicate mapping for 'u1' (at position 60)", id="mapping-duplicate"),
+    pytest.param(_B2 + "auto A { u1 -> u2 " + _INV + " }", ParseError,
+                 "missing mappings for u2 (at position 49)", id="mapping-missing"),
+    pytest.param(_B2 + "auto A { u1 -> u2, u2 -> u1 inv { u1 -> u2 } }", ParseError,
+                 "missing mappings for u2 (at position 74)", id="inv-mapping-missing"),
+    pytest.param(_B2 + "auto A { u1 -> u2 +, u2 -> u1 " + _INV + " }", ParseError,
+                 "unexpected end of input (at position 60)", id="mapping-bad-expression"),
+    pytest.param(_B2 + "auto A { u1 -> 2*u1, u2 -> u2 inv { u1 -> u1, u2 -> u2 } }", ParseError,
+                 "invalid automorphism 'A': psi_inv is not a right inverse on fiber u1 "
+                 "(at position 41)", id="auto-invalid"),
+    # group
+    pytest.param(_B2 + "group G [Id]", ParseError,
+                 "expected group NAME = [autoA, ...] (at position 41)", id="group-syntax"),
+    pytest.param(_B2 + "group G = [Missing]", UnknownName,
+                 "unknown name 'Missing' at position 41", id="group-unknown-member"),
+    pytest.param(_B2 + _ID + "group G = [Id, Id]", ParseError,
+                 "invalid group 'G': duplicate group element (at position 99)",
+                 id="group-invalid"),
+    # sigma
+    pytest.param(_B2 + "sigma { n = 1; w = [[0]] }", ParseError,
+                 "a sigma model declares its own chart; drop the separate bundle statement "
+                 "(at position 41)", id="sigma-after-bundle"),
+    pytest.param("sigma { n = 1; w = [[0]] }\nbundle { base = [x]; fibers = [u1] }", ParseError,
+                 "the chart is already declared (at position 27)", id="bundle-after-sigma"),
+    pytest.param("sigma n = 1", ParseError,
+                 "expected sigma { ... } (at position 0)", id="sigma-syntax"),
+    pytest.param("sigma { n = 1; v = [[0]] }", ParseError,
+                 "expected n = ... or w = [[...], ...] (at position 15)", id="sigma-unknown-key"),
+    pytest.param("sigma { n = 1; n = 2; w = [[0]] }", ParseError,
+                 "duplicate 'n' (at position 15)", id="sigma-duplicate-n"),
+    pytest.param("sigma { n = 1; w = [[0]]; w = [[0]] }", ParseError,
+                 "duplicate 'w' (at position 26)", id="sigma-duplicate-w"),
+    pytest.param("sigma { n = 2 }", ParseError,
+                 "sigma needs both n and w (at position 0)", id="sigma-missing-key"),
+    pytest.param("sigma { n = 0 }", ParseError,
+                 "sigma needs both n and w (at position 0)", id="sigma-missing-before-bad-n"),
+    pytest.param("sigma { n = 0; w = [[0]] }", ParseError,
+                 "n must be a positive integer (at position 8)", id="sigma-n-zero"),
+    pytest.param("sigma { n = two; w = [[0]] }", ParseError,
+                 "n must be a positive integer (at position 8)", id="sigma-n-word"),
+    pytest.param("sigma { n = 0; w = [[ ]] }", ParseError,
+                 "n must be a positive integer (at position 8)", id="sigma-bad-n-before-w"),
+    pytest.param("sigma { n = 1; w = [[ ]] }", ParseError,
+                 "empty matrix entry (at position 22)", id="sigma-empty-entry"),
+    pytest.param("sigma { n = 2; w = [[0, 1]] }", ParseError,
+                 "structure matrix must be 2x2 (at position 0)", id="sigma-shape"),
+])
+def test_error_messages(text, error, message):
+    with pytest.raises(error) as err:
+        parse_model(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
