@@ -37,21 +37,21 @@ from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
 def _rational_matrix(text: str) -> list[list[Fraction]]:
     text, offset = _strip(text, 0)
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", 0)
+        raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", offset)
     rows = []
     for row_text, row_offset in _split_top(text[1:-1], offset + 1, ","):
         if not row_text:
             continue
         if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise ParseError(f"expected a bracketed row, got {row_text!r}", 0)
+            raise ParseError(f"expected a bracketed row, got {row_text!r}", row_offset)
         row = []
-        for cell, _ in _split_top(row_text[1:-1], row_offset + 1, ","):
+        for cell, cell_offset in _split_top(row_text[1:-1], row_offset + 1, ","):
             if not cell:
                 continue
             try:
                 row.append(Fraction(cell))
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"expected a rational number, got {cell!r}", 0) from None
+                raise ParseError(f"expected a rational number, got {cell!r}", cell_offset) from None
         rows.append(row)
     return rows
 

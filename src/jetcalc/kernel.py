@@ -4,15 +4,17 @@ Everything downstream works with :class:`Poly`: a sparse multivariate
 polynomial with arbitrary-precision rational coefficients in three kinds of
 generators, namely base coordinates x^i, jet coordinates u^a_I (where I is a
 symmetric multi-index over base directions, so u^a_yx and u^a_xy are the same
-generator) and free parameters.  Polynomials are kept in canonical form: no
-zero coefficients, no zero exponents, factors sorted by a fixed total order on
-generators.  Structural equality of the canonical form therefore decides
-mathematical equality, and there is no floating point anywhere.
+generator) and free parameters.  A generator is the tuple (kind, pos, order,
+index), and tuple order is the canonical order.  Polynomials are kept in
+canonical form: no zero coefficients, no zero exponents, factors sorted by
+generator; a `Poly` owns the term map it was built from.  Structural equality
+therefore decides mathematical equality, and there is no floating point.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -127,34 +129,28 @@ class BundleSpec:
         return tuple(out)
 
 
-class MultiIndex:
+class MultiIndex(tuple):
     """Symmetric multi-index: a sorted multiset of base-direction positions."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[int] = ()):
-        ent = tuple(sorted(entries))
+    def __new__(cls, entries: Iterable[int] = ()):
+        ent = sorted(entries)
         for i in ent:
             if not isinstance(i, int) or i < 0:
                 raise ValueError(f"bad multi-index entry {i!r}")
-        self.entries = ent
-        self._hash = hash(ent)
+        return super().__new__(cls, ent)
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self)
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def extended(self, i: int) -> "MultiIndex":
-        return MultiIndex(self.entries + (i,))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndex) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return self._hash
+        return MultiIndex(self + (i,))
 
     def __repr__(self) -> str:
         return f"MultiIndex{self.entries}"
@@ -165,22 +161,21 @@ EMPTY_INDEX = MultiIndex()
 _BASE, _JET, _PARAM = 0, 1, 2
 
 
-class Generator:
+class Generator(namedtuple("Generator", "kind pos order index")):
     """A base coordinate x^i, a jet coordinate u^a_I, or a free parameter.
 
-    Generators carry a fixed total order used for canonical forms: base
-    coordinates by position, then jet coordinates by (fiber position, |I|,
-    lexicographic sorted I), then parameters by position.
+    The tuple (kind, pos, order = |I|, index), whose tuple order is the
+    canonical order: base coordinates by position, then jet coordinates by
+    (fiber position, |I|, lexicographic sorted I), then parameters by position.
     """
 
-    __slots__ = ("kind", "pos", "index", "_key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, kind: int, pos: int, index: MultiIndex = EMPTY_INDEX):
-        self.kind = kind
-        self.pos = pos
-        self.index = index
-        self._key = (kind, pos, index.order, index.entries)
-        self._hash = hash(self._key)
+    def __new__(cls, kind: int, pos: int, index: MultiIndex = EMPTY_INDEX):
+        return super().__new__(cls, kind, pos, len(index), index)
+
+    def __getnewargs__(self):
+        return self.kind, self.pos, self.index
 
     @classmethod
     def base(cls, i: int) -> "Generator":
@@ -206,18 +201,13 @@ class Generator:
     def is_param(self) -> bool:
         return self.kind == _PARAM
 
-    @property
-    def order(self) -> int:
-        """Jet order |I| (zero for base coordinates and parameters)."""
-        return self.index.order
-
     def name(self, ctx: BundleSpec) -> str:
         if self.kind == _BASE:
             return ctx.base_dims[self.pos]
         if self.kind == _PARAM:
             return ctx.params[self.pos]
         stem = ctx.fibers[self.pos]
-        if self.index.order == 0:
+        if self.order == 0:
             return stem
         return stem + "_" + "".join(ctx.base_dims[i] for i in self.index)
 
@@ -228,18 +218,9 @@ class Generator:
             return 0 <= self.pos < len(ctx.params)
         return 0 <= self.pos < ctx.m and all(0 <= i < ctx.n for i in self.index)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Generator) and self._key == other._key
-
-    def __lt__(self, other: "Generator") -> bool:
-        return self._key < other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         tag = ("Base", "Jet", "Param")[self.kind]
-        if self.kind == _JET and self.index.order:
+        if self.kind == _JET and self.order:
             return f"{tag}({self.pos}, {self.index.entries})"
         return f"{tag}({self.pos})"
 
@@ -256,12 +237,12 @@ class Monomial:
                 raise ValueError("negative exponent")
             if e:
                 merged[g] = merged.get(g, 0) + e
-        self.powers = tuple(sorted(merged.items(), key=lambda p: p[0]._key))
+        self.powers = tuple(sorted(merged.items()))
         self._hash = hash(self.powers)
 
     @classmethod
     def _canonical(cls, powers: tuple[tuple[Generator, int], ...]) -> "Monomial":
-        """Wrap a power tuple that is already sorted by generator key, merged
+        """Wrap a power tuple that is already sorted by generator, merged
         and free of zero exponents, without re-validating it."""
         mono = object.__new__(cls)
         mono.powers = powers
@@ -277,9 +258,8 @@ class Monomial:
         return not self.powers
 
     def exponent(self, g: Generator) -> int:
-        key = g._key
         for h, e in self.powers:
-            if h._key == key:
+            if h == g:
                 return e
         return 0
 
@@ -292,16 +272,16 @@ class Monomial:
             return self
         if not a:
             return other
-        # Both factors are sorted: one merge by generator key keeps them so.
+        # Both factors are sorted: one merge by generator keeps them so.
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
             g, e = a[i]
             h, f = b[j]
-            if g._key < h._key:
+            if g < h:
                 out.append(a[i])
                 i += 1
-            elif h._key < g._key:
+            elif h < g:
                 out.append(b[j])
                 j += 1
             else:
@@ -313,17 +293,17 @@ class Monomial:
     def with_exponent(self, g: Generator, e: int) -> "Monomial":
         if e < 0:
             raise ValueError("negative exponent")
-        key, powers = g._key, self.powers
+        powers = self.powers
         i = 0
-        while i < len(powers) and powers[i][0]._key < key:
+        while i < len(powers) and powers[i][0] < g:
             i += 1
-        rest = i + 1 if i < len(powers) and powers[i][0]._key == key else i
+        rest = i + 1 if i < len(powers) and powers[i][0] == g else i
         middle = ((g, e),) if e else ()
         return Monomial._canonical(powers[:i] + middle + powers[rest:])
 
     def sort_key(self):
         """Key whose ascending order is descending graded-lex on monomials."""
-        return (-self.degree, tuple((g._key, -e) for g, e in self.powers))
+        return (-self.degree, tuple((g, -e) for g, e in self.powers))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.powers == other.powers
@@ -355,14 +335,16 @@ class Poly:
 
     Immutable.  Supports +, -, * (with Poly, int or Fraction) and ** with a
     non-negative integer.  Equality is structural equality of the canonical
-    term map, which coincides with mathematical equality.
+    term map, which coincides with mathematical equality.  The constructor is
+    the kernel's and owns, uncopied, the fresh canonical term map it is given;
+    build with `zero`, `const`, `generator`, `from_terms` or `sum`.
     """
 
     __slots__ = ("ctx", "_terms", "_hash")
 
-    def __init__(self, ctx: BundleSpec, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, ctx: BundleSpec, terms: dict[Monomial, Fraction]):
         self.ctx = ctx
-        self._terms = dict(terms)
+        self._terms = terms
         self._hash = None
 
     @classmethod
@@ -384,8 +366,8 @@ class Poly:
     def sum(cls, ctx: BundleSpec, parts: Iterable["Poly"]) -> "Poly":
         """The sum of polynomials over `ctx`, accumulated into one term map.
 
-        The first part's terms are copied and every other term is folded in
-        once, instead of building a partial sum per part; `a + b` is the
+        The first part's terms are copied once and every other term is folded
+        in once, instead of building a partial sum per part; `a + b` is the
         two-part case.  Raises ValueError on a part over another chart.
         """
         terms = None
@@ -434,12 +416,7 @@ class Poly:
 
     def max_order(self) -> int:
         """Largest jet order |I| occurring in the polynomial (0 if none)."""
-        k = 0
-        for mono in self._terms:
-            for g in mono.generators():
-                if g.is_jet and g.index.order > k:
-                    k = g.index.order
-        return k
+        return max((g.order for mono in self._terms for g, _ in mono.powers), default=0)
 
     def total_degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
@@ -509,8 +486,7 @@ class Poly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            items = tuple(sorted(self._terms.items(), key=lambda t: t[0].sort_key()))
-            self._hash = hash((self.ctx, items))
+            self._hash = hash((self.ctx, frozenset(self._terms.items())))
         return self._hash
 
     def partial(self, g: Generator) -> "Poly":

@@ -322,7 +322,7 @@ class _ModelParser:
         if raw.keys() != {"n", "w"}:
             raise ParseError("sigma needs both n and w", offset)
         n_text = raw["n"][0].strip()
-        if not n_text.isdigit() or int(n_text) < 1:
+        if not re.fullmatch(r"[0-9]+", n_text) or int(n_text) < 1:
             raise ParseError("n must be a positive integer", where["n"])
         n_fields = int(n_text)
         chart = sigma_bundle(n_fields)

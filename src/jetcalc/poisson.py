@@ -63,7 +63,7 @@ def validate_omega(omega: OmegaSpec) -> None:
                 names = (omega.ctx.fibers[a], omega.ctx.fibers[b])
                 raise NonSkew(f"omega[{names[0]},{names[1]}] != -omega[{names[1]},{names[0]}]")
             for g in omega.entry(a, b).generators():
-                if g.is_base or (g.is_jet and g.index.order > 0):
+                if g.is_base or (g.is_jet and g.order > 0):
                     raise EntryNotOrderZero(
                         f"omega[{omega.ctx.fibers[a]},{omega.ctx.fibers[b]}] depends on "
                         f"{g.name(omega.ctx)}")

@@ -85,7 +85,7 @@ class SigmaModelSpec:
                 if entry != -self.w[B][A]:
                     raise NonSkew(f"W[{A + 1},{B + 1}] != -W[{B + 1},{A + 1}]")
                 for g in entry.generators():
-                    if not (g.is_jet and g.index.order == 0 and g.pos < N):
+                    if not (g.is_jet and g.order == 0 and g.pos < N):
                         raise ValueError(
                             "structure entries must be polynomials in the fields alone")
 

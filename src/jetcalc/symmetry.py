@@ -36,7 +36,7 @@ def _check_fiber_map(ctx: BundleSpec, polys: tuple[Poly, ...], label: str):
         if p.ctx != ctx:
             raise ValueError(f"{label} entry over a different chart")
         for g in p.generators():
-            if g.is_jet and g.index.order > 0:
+            if g.is_jet and g.order > 0:
                 raise ValueError(
                     f"{label} entry depends on jet coordinate {g.name(ctx)}; "
                     "fiber maps may use base coordinates, fibers and parameters only")

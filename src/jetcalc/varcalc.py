@@ -190,7 +190,7 @@ def euler(p: Poly) -> tuple[Poly, ...]:
         if not g.is_jet:
             continue
         term = iterated_total_derivative(p.partial(g), g.index)
-        parts[g.pos].append(-term if g.index.order % 2 else term)
+        parts[g.pos].append(-term if g.order % 2 else term)
     return tuple(Poly.sum(ctx, fiber) for fiber in parts)
 
 
@@ -231,7 +231,7 @@ def invert_total_derivative(h: Poly) -> Poly:
             pieces.append(_antiderivative(current, Generator.base(0)))
             break
         for mono, _ in current.items():
-            top_degree = sum(e for g, e in mono.powers if g.is_jet and g.index.order == k)
+            top_degree = sum(e for g, e in mono.powers if g.is_jet and g.order == k)
             if top_degree > 1:
                 raise NotExact(f"not affine-linear in jet coordinates of order {k}")
         for a in range(ctx.m):

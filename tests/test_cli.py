@@ -325,11 +325,13 @@ class TestChecks:
     @pytest.mark.parametrize("matrix, message", [
         ("nonsense", "expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]"
                      " (at position 0)"),
-        ("[[1, 0, 0], 0, [0, 0, 1]]", "expected a bracketed row, got '0' (at position 0)"),
+        ("[[1, 0, 0], 0, [0, 0, 1]]", "expected a bracketed row, got '0' (at position 12)"),
         ("[[1, 0, 0], [0, a, 0], [0, 0, 1]]",
-         "expected a rational number, got 'a' (at position 0)"),
+         "expected a rational number, got 'a' (at position 16)"),
         ("[[1, 0, 0], [0, 1, 0], [0, 0, 1/0]]",
-         "expected a rational number, got '1/0' (at position 0)"),
+         "expected a rational number, got '1/0' (at position 30)"),
+        ("[[1, 0, 0], [0, 1, x], [0, 0, 1]]",
+         "expected a rational number, got 'x' (at position 19)"),
         ("[[1, 0, 0], [0, 1, 0]], [0, 0, 1]]", "unbalanced bracket (at position 21)"),
     ])
     def test_sigma_invariance_matrix_syntax(self, invoke, models, matrix, message):

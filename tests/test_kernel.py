@@ -1,5 +1,8 @@
 """Core term-order, multi-index and polynomial arithmetic tests."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,6 +151,23 @@ class TestGeneratorOrder:
 
     def test_symmetric_jet_generators_coincide(self, ctx2):
         assert gen_u(ctx2, 0, 1, 0) == gen_u(ctx2, 0, 0, 1)
+
+    def test_order_over_whole_pool(self):
+        ctx = BundleSpec(("x", "y"), ("u1", "u2"), params=("c",))
+        pool = helpers.generator_pool(ctx, 3, include_params=True)
+        random.Random(9).shuffle(pool)
+        ordered = sorted(pool, key=lambda g: (g.kind, g.pos, g.index.order, g.index.entries))
+        assert sorted(pool) == ordered
+        assert len(set(pool)) == len(pool)
+        powers = [(g, k % 3 + 1) for k, g in enumerate(pool)]
+        assert Monomial(powers) == Monomial(sorted(powers))
+        assert Monomial(powers).powers == tuple(sorted(powers))
+
+    def test_copy_and_pickle_round_trip(self, ctx2):
+        g = gen_u(ctx2, 1, 1, 0)
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert clone(g) == g and clone(g).index == g.index
+            assert type(clone(g)) is Generator and type(clone(g).index) is MultiIndex
 
 
 class TestMonomial:

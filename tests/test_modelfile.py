@@ -388,6 +388,8 @@ _INV = "inv { u1 -> u2, u2 -> u1 }"
                  "n must be a positive integer (at position 8)", id="sigma-n-zero"),
     pytest.param("sigma { n = two; w = [[0]] }", ParseError,
                  "n must be a positive integer (at position 8)", id="sigma-n-word"),
+    pytest.param("sigma { n = ²; w = [[0]] }", ParseError,
+                 "n must be a positive integer (at position 8)", id="sigma-n-superscript"),
     pytest.param("sigma { n = 0; w = [[ ]] }", ParseError,
                  "n must be a positive integer (at position 8)", id="sigma-bad-n-before-w"),
     pytest.param("sigma { n = 1; w = [[ ]] }", ParseError,
