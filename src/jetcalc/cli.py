@@ -49,6 +49,10 @@ def _rational_matrix(text: str) -> list[list[Fraction]]:
             if not cell:
                 continue
             try:
+                # Fraction also reads non-ASCII decimal digits; numbers in
+                # this language, as in expressions, are ASCII only.
+                if not cell.isascii():
+                    raise ValueError(cell)
                 row.append(Fraction(cell))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"expected a rational number, got {cell!r}", cell_offset) from None

@@ -46,7 +46,7 @@ class ParseError(JetcalcError):
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<num>\d+)"
+    r"|(?P<num>[0-9]+)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
 )

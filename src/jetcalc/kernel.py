@@ -17,7 +17,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
 class JetcalcError(Exception):
@@ -499,6 +499,18 @@ class Poly:
             if not e:
                 continue
             _accumulate(terms, mono.with_exponent(g, e - 1), c * e)
+        return Poly(self.ctx, terms)
+
+    def derivation(self, image: Callable[[Generator], Monomial | None]) -> "Poly":
+        """Apply the derivation sending each generator g to the monomial
+        image(g), or to zero when image(g) is None, in one pass over the
+        terms: each power g^e contributes e * g^(e-1) * image(g)."""
+        terms: dict[Monomial, Fraction] = {}
+        for mono, c in self._terms.items():
+            for g, e in mono.powers:
+                m = image(g)
+                if m is not None:
+                    _accumulate(terms, mono.with_exponent(g, e - 1).times(m), c * e)
         return Poly(self.ctx, terms)
 
     def substitute(self, mapping: Mapping[Generator, "Poly"]) -> "Poly":

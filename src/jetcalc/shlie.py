@@ -99,6 +99,8 @@ def check_shlie_relations(omega: OmegaSpec,
     Jacobiator is computed once, with each Euler component computed once,
     and l3 is the homotopy applied to that same Jacobiator.
     """
+    if triples and omega.ctx.n != 1:
+        raise Unsupported("l3 is implemented over a one-dimensional base")
     residuals: list[tuple[str, Poly]] = []
     for k, (f, g) in enumerate(pairs):
         form = g if isinstance(g, HorizontalForm) else HorizontalForm.scalar(g)
@@ -107,8 +109,6 @@ def check_shlie_relations(omega: OmegaSpec,
             residuals.append((f"pair[{k}]", residual.form.density_coefficient()))
     for k, (p, q, r) in enumerate(triples):
         jac = jacobiator(p, q, r, omega)
-        if omega.ctx.n != 1:
-            raise Unsupported("l3 is implemented over a one-dimensional base")
         correction = d_h(homotopy_s(HorizontalForm.density(jac))).density_coefficient()
         residual = jac + correction
         if not residual.is_zero:

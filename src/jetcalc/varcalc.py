@@ -12,6 +12,17 @@ operator of a density P is
     E_a(P) = sum over distinct sorted multi-indices I of
              (-1)^|I| D_I (dP/du^a_I).
 
+D_i is a derivation, so it is applied in one walk over the terms
+(`Poly.derivation`): each power g^e contributes e * g^(e-1) times the image of
+g, which is 1 for x^i and the lifted coordinate u^a_{J+i} for u^a_J.  The
+Euler sum is evaluated in nested (Horner) form over the trie of occurring
+multi-indices: with
+
+    T(I) = dP/du^a_I - sum over j >= last(I) of D_j T(I+j),
+
+E_a(P) = T(()), so each occurring nonempty prefix costs one total derivative
+instead of one per multi-index it prefixes.
+
 A polynomial density over a one-dimensional base is a total derivative if and
 only if all its Euler components vanish; `invert_total_derivative` produces
 the preimage in that case by peeling one jet order at a time.
@@ -21,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .kernel import BundleSpec, Generator, JetcalcError, MultiIndex, Poly
+from .kernel import UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly
 
 
 class DegreeError(JetcalcError):
@@ -45,15 +56,22 @@ def _direction(ctx: BundleSpec, direction: int | str) -> int:
 
 
 def total_derivative(p: Poly, direction: int | str) -> Poly:
-    """Apply the total derivative D_i, raising each jet order by one."""
+    """Apply the total derivative D_i, raising each jet order by one.
+
+    D_i is the derivation sending x^i to 1 and u^a_J to u^a_{J+i}; it is
+    applied in one walk over the terms, with each lifted jet coordinate
+    built once per call.
+    """
     i = _direction(p.ctx, direction)
-    out = p.partial(Generator.base(i))
-    for g in p.generators():
-        if not g.is_jet:
-            continue
-        lifted = Generator.jet(g.pos, g.index.extended(i))
-        out = out + p.partial(g) * Poly.generator(p.ctx, lifted)
-    return out
+    lifts: dict[Generator, Monomial] = {Generator.base(i): UNIT}
+
+    def image(g: Generator) -> Monomial | None:
+        m = lifts.get(g)
+        if m is None and g.is_jet:
+            m = lifts[g] = Monomial(((Generator.jet(g.pos, g.index.extended(i)), 1),))
+        return m
+
+    return p.derivation(image)
 
 
 def iterated_total_derivative(p: Poly, index: MultiIndex) -> Poly:
@@ -183,15 +201,29 @@ def d_h(form: HorizontalForm) -> HorizontalForm:
 
 
 def euler(p: Poly) -> tuple[Poly, ...]:
-    """All Euler-Lagrange components of a density, one per fiber."""
+    """All Euler-Lagrange components of a density, one per fiber.
+
+    The signed sum over multi-indices is evaluated in nested (Horner) form.
+    With T(I) = dP/du^a_I - sum over j >= last(I) of D_j T(I+j), the
+    component is E_a = T(()).  Each sorted multi-index I is reached from ()
+    along exactly one path, appending entries in increasing order, so the
+    sign is (-1)^|I| as in the definition, and each occurring nonempty
+    prefix costs one total derivative.
+    """
     ctx = p.ctx
-    parts: list[list[Poly]] = [[] for _ in range(ctx.m)]
-    for g in sorted(p.generators()):
-        if not g.is_jet:
-            continue
-        term = iterated_total_derivative(p.partial(g), g.index)
-        parts[g.pos].append(-term if g.order % 2 else term)
-    return tuple(Poly.sum(ctx, fiber) for fiber in parts)
+    buckets: list[dict[tuple[int, ...], list[Poly]]] = [{} for _ in range(ctx.m)]
+    for g in p.generators():
+        if g.is_jet:
+            buckets[g.pos][g.index] = [p.partial(g)]
+    components = []
+    for bucket in buckets:
+        for k in range(max(map(len, bucket), default=0), 0, -1):
+            for index in [index for index in bucket if len(index) == k]:
+                t = Poly.sum(ctx, bucket.pop(index))
+                if t:
+                    bucket.setdefault(index[:-1], []).append(-total_derivative(t, index[-1]))
+        components.append(Poly.sum(ctx, bucket.get((), ())))
+    return tuple(components)
 
 
 def is_divergence(p: Poly) -> bool:

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property-based suites.
+"""Seeded random generators and hypothesis strategies shared by the
+property-based suites, and the definitional forms of the calculus layer.
 
 Everything here is deterministic given the Random instance passed in, so
 failures reproduce exactly.  Coefficients stay small rationals and term
@@ -8,6 +9,8 @@ budgets stay low to keep expression swell bounded.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 import random
+
+from hypothesis import strategies as st
 
 from jetcalc import (
     Automorphism,
@@ -59,6 +62,18 @@ def random_poly(rng, ctx, max_order=2, max_degree=3, max_terms=3,
         coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
         terms.append((Monomial((g, 1) for g in gens), Fraction(coeff)))
     return Poly.from_terms(ctx, terms)
+
+
+def densities(ctx, max_order, include_params=False):
+    """Hypothesis strategy: up to four terms, each a small rational times at
+    most three powers (exponent 1 or 2) of generators of jet order at most
+    max_order."""
+    pool = generator_pool(ctx, max_order, include_params=include_params)
+    monomials = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)),
+                         max_size=3).map(Monomial)
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    return st.lists(st.tuples(monomials, coefficients), max_size=4).map(
+        lambda items: Poly.from_terms(ctx, items))
 
 
 def fiber_coordinates(ctx):
@@ -132,6 +147,30 @@ def random_linear_automorphism(rng, ctx, max_pieces=2):
         cos, sin = rng.choice(PYTHAGOREAN)
         auto = rotation(ctx, a, b, cos, sin).compose(auto)
     return auto
+
+
+def reference_total_derivative(p, i):
+    """D_i by its definition: dp/dx^i plus, for every jet coordinate u^a_J
+    of p, the product u^a_{J+i} * dp/du^a_J."""
+    parts = [p.partial(Generator.base(i))]
+    for g in p.generators():
+        if g.is_jet:
+            lifted = Generator.jet(g.pos, g.index.extended(i))
+            parts.append(p.partial(g) * Poly.generator(p.ctx, lifted))
+    return Poly.sum(p.ctx, parts)
+
+
+def reference_euler(p):
+    """E_a by its definition: the sum over the jet coordinates u^a_I of p of
+    (-1)^|I| D_I dP/du^a_I, with each D_I applied from scratch."""
+    parts = [[] for _ in range(p.ctx.m)]
+    for g in p.generators():
+        if g.is_jet:
+            term = p.partial(g)
+            for i in g.index:
+                term = reference_total_derivative(term, i)
+            parts[g.pos].append(-term if g.order % 2 else term)
+    return tuple(Poly.sum(p.ctx, fiber) for fiber in parts)
 
 
 def seeded(seed):

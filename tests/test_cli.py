@@ -333,6 +333,8 @@ class TestChecks:
         ("[[1, 0, 0], [0, 1, x], [0, 0, 1]]",
          "expected a rational number, got 'x' (at position 19)"),
         ("[[1, 0, 0], [0, 1, 0]], [0, 0, 1]]", "unbalanced bracket (at position 21)"),
+        ("[[\u0661, 0, 0], [0, 1, 0], [0, 0, 1]]",
+         "expected a rational number, got '\u0661' (at position 2)"),
     ])
     def test_sigma_invariance_matrix_syntax(self, invoke, models, matrix, message):
         assert invoke("check", "sigma-invariance", models["sigma"], matrix) == (

@@ -65,6 +65,14 @@ class TestParseErrors:
             parse_expr("u1 $ 2", ctx1)
         assert err.value.position == 3
 
+    @pytest.mark.parametrize("text, position", [("\u0661\u0662*u1", 0), ("u1^\u0663", 3)])
+    def test_non_ascii_digit(self, ctx1, text, position):
+        # Only ASCII digits are numbers: Arabic-Indic twelve and three are not.
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, ctx1)
+        assert err.value.message == f"unexpected character {text[position]!r}"
+        assert err.value.position == position
+
     def test_zero_exponent_rejected(self, ctx1):
         with pytest.raises(ParseError):
             parse_expr("u1^0", ctx1)

@@ -73,6 +73,14 @@ class TestKernelOracle:
         assert_agrees(p.partial(g), sympy.diff(to_sympy(p), SYMBOLS[g]))
 
     @ORACLE
+    @given(polys(), st.dictionaries(generators, monomials, max_size=3))
+    def test_derivation(self, p, images):
+        expected = sympy.Add(*(
+            sympy.diff(to_sympy(p), SYMBOLS[g]) * to_sympy(Poly.from_terms(CTX, [(m, 1)]))
+            for g, m in images.items()))
+        assert_agrees(p.derivation(images.get), sympy.expand(expected))
+
+    @ORACLE
     @given(polys(), st.dictionaries(generators, polys(max_terms=3), max_size=3))
     @example(  # a swap: each replacement mentions the other replaced generator
         Poly.from_terms(CTX, [(Monomial([(U1, 2), (U2, 1), (U1X, 1)]), 3)]),

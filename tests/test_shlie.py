@@ -161,11 +161,17 @@ class TestCheckRelations:
         assert len(jacobiators) == 4
         assert len(eulers) == 6 * 4
 
-    def test_two_dim_unsupported(self, ctx2):
+    def test_two_dim_unsupported(self, ctx2, monkeypatch):
+        # The base dimension is rejected before any Jacobiator is computed.
+        jacobiators = []
+        jac = jetcalc.shlie.jacobiator
+        monkeypatch.setattr(jetcalc.shlie, "jacobiator",
+                            lambda *args: jacobiators.append(args) or jac(*args))
         omega = omega_from(ctx2, (("0", "1"), ("-1", "0")))
         u = parse_expr("u1", ctx2)
         with pytest.raises(Unsupported, match="l3 is implemented over a one-dimensional base"):
             check_shlie_relations(omega, triples=[(u, u, u)])
+        assert jacobiators == []
 
     def test_not_exact_propagates(self, ctx3):
         omega = omega_from(ctx3, (("0", "u1", "0"), ("-u1", "0", "u2"), ("0", "-u2", "0")))

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import jetcalc.varcalc
 
 from jetcalc import (
+    BundleSpec,
     DegreeError,
     HorizontalForm,
     MultiIndex,
@@ -191,11 +195,52 @@ class TestEuler:
             bound = 2 * p.max_order()
             assert all(c.max_order() <= bound for c in euler(p))
 
+    def test_one_total_derivative_per_prefix(self, ctx2, monkeypatch):
+        # The nonempty prefixes of xxy, xy and yy are xxy, xx, x, xy, yy and y;
+        # each costs one D along its last direction.
+        calls = []
+        total = jetcalc.varcalc.total_derivative
+        monkeypatch.setattr(jetcalc.varcalc, "total_derivative",
+                            lambda p, i: calls.append(i) or total(p, i))
+        p = parse_expr("u1_xxy*u2 + u1_xy^2 + u2*u1_yy", ctx2)
+        assert euler(p) == helpers.reference_euler(p)
+        assert sorted(calls) == [0, 0, 1, 1, 1, 1]
+
     def test_is_divergence(self, ctx1):
         assert is_divergence(parse_expr("u1_x", ctx1))
         assert is_divergence(parse_expr("u1*u2_x + u1_x*u2", ctx1))
         assert not is_divergence(parse_expr("u1", ctx1))
         assert not is_divergence(parse_expr("u1*u2_x", ctx1))
+
+
+CHARTS = tuple(BundleSpec(dims, ("u1", "u2"), ("k",))
+               for dims in (("x",), ("x", "y"), ("x", "y", "z")))
+CTX2, CTX3 = CHARTS[1], CHARTS[2]
+
+
+# A 1-, 2- or 3-D base, jets up to order 4, mixed indices such as u1_xy.
+densities = st.sampled_from(CHARTS).flatmap(
+    lambda ctx: helpers.densities(ctx, 4, include_params=True))
+
+
+class TestDefinitionalForms:
+    """The one-walk total derivative and the nested Euler operator against
+    their definitional forms in `helpers`."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(densities)
+    @example(parse_expr("u1_x*u1_y + k*u1^2*u1_xy", CTX2))
+    @example(parse_expr("x*y*u1_xyz*u2_xx + u1_zz*u2_yyz^2 + z*k", CTX3))
+    def test_total_derivative(self, p):
+        for i in range(p.ctx.n):
+            assert total_derivative(p, i) == helpers.reference_total_derivative(p, i)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(densities)
+    @example(parse_expr("u1_x*u1_y + k*u1^2*u1_xy", CTX2))
+    @example(parse_expr("u1_xxyy*u2 + u1_xy*u1_yy*u2_xyyy + u2_xyz*u1_xyz", CTX3))
+    def test_euler(self, p):
+        assert euler(p) == helpers.reference_euler(p)
 
 
 class TestInvertTotalDerivative:
