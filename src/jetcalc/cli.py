@@ -60,119 +60,84 @@ def _rational_matrix(text: str) -> list[list[Fraction]]:
     return rows
 
 
-def _values(*rows) -> CheckReport:
-    """The report of an expression command: its (name, Poly) rows, rendered."""
-    return CheckReport(True, results=tuple((name, render_expr(p)) for name, p in rows))
+def _resolve(model, field: str, args):
+    """The value of one field of a command row: see `_COMMANDS`."""
+    if field in ("omega", "sigma"):
+        return getattr(model, f"require_{field}")()
+    text = getattr(args, field)
+    if field == "auto":
+        return model.get_automorphism(text)
+    if field == "group":
+        return model.get_group(text)
+    if field == "direction":
+        return model.bundle.direction_index(text)
+    if field == "matrix":
+        return _rational_matrix(text)
+    return model.resolve_density(text)
 
 
-def _euler(model, args) -> CheckReport:
-    components = euler(model.resolve_density(args.density))
-    return _values(*((f"E[{fiber}]", c) for fiber, c in zip(model.bundle.fibers, components)))
+def _dh(f):
+    form = d_h(HorizontalForm.scalar(f))
+    return [(f"d{dim}", form.coefficient((i,))) for i, dim in enumerate(f.ctx.base_dims)]
 
 
-def _dh(model, args) -> CheckReport:
-    ctx = model.bundle
-    form = d_h(HorizontalForm.scalar(model.resolve_density(args.expr)))
-    return _values(*((f"d{ctx.base_dims[i]}", form.coefficient((i,))) for i in range(ctx.n)))
-
-
-def _td(model, args) -> CheckReport:
-    direction = model.bundle.direction_index(args.direction)
-    return _values(("", total_derivative(model.resolve_density(args.expr), direction)))
-
-
-def _l2(model, args) -> CheckReport:
-    omega, resolve = model.require_omega(), model.resolve_density
-    return _values(("", l2_density(resolve(args.p), resolve(args.q), omega)))
-
-
-def _l3(model, args) -> CheckReport:
-    omega, resolve = model.require_omega(), model.resolve_density
-    element = l3(resolve(args.p), resolve(args.q), resolve(args.r), omega)
-    return _values(("", element.form.scalar_coefficient()))
-
-
-def _jacobiator(model, args) -> CheckReport:
-    omega, resolve = model.require_omega(), model.resolve_density
-    return _values(("", jacobiator(resolve(args.p), resolve(args.q), resolve(args.r), omega)))
-
-
-def _average(model, args) -> CheckReport:
-    group = model.get_group(args.group)
-    averaged = group_average(HorizontalForm.density(model.resolve_density(args.expr)), group)
-    return _values(("", averaged.density_coefficient()))
-
-
-def _canonical(model, args) -> CheckReport:
-    omega, auto = model.require_omega(), model.get_automorphism(args.auto)
-    p, q = model.resolve_density(args.p), model.resolve_density(args.q)
-    return check_canonical_density(omega, auto, p, q)
-
-
-def _invariance(model, args) -> CheckReport:
-    group = model.get_group(args.group)
-    return check_invariance(HorizontalForm.density(model.resolve_density(args.expr)), group)
-
-
-def _closure(model, args) -> CheckReport:
-    omega, group = model.require_omega(), model.get_group(args.group)
-    alpha = HorizontalForm.density(model.resolve_density(args.p))
-    beta = HorizontalForm.density(model.resolve_density(args.q))
-    return check_invariant_closure(alpha, beta, group, omega)
-
-
-def _shlie(model, args) -> CheckReport:
-    omega, resolve = model.require_omega(), model.resolve_density
-    p, q, r = resolve(args.p), resolve(args.q), resolve(args.r)
-    return check_shlie_relations(omega, triples=[(p, q, r)], pairs=[(p, q), (p, r), (q, r)])
-
-
-def _commute(model, args) -> CheckReport:
-    auto = model.get_automorphism(args.auto)
-    form = HorizontalForm.scalar(model.resolve_density(args.expr))
-    return check_pullback_dh_commute(form, auto)
-
-
-# Every command: its arguments after the model file, its help, its output
-# style and its handler, which takes the loaded model and the parsed
-# arguments; "check NAME" is the subcommand NAME of `check`.  Style "bare"
-# prints result expressions alone, "named" prints them as `name = expression`
-# lines, and "check" prints a pass/fail verdict first.  Residual lines always
-# follow as `location: expression`.  Handlers look up omega or sigma first and
-# then their arguments in order, which decides the error reported first.
+# Every command is one row: its fields, its help, its output style and the
+# function called with the fields' values in order; "check NAME" is the
+# subcommand NAME of `check`.  Each field after the model file is one argument,
+# resolved by its name: `auto` names an automorphism, `group` a group,
+# `direction` a base direction and `matrix` is a rational matrix literal; any
+# other field (`p`, `q`, `r`, `expr`, `density`) is a density, a `let` name or
+# an inline expression.  The fields `omega` and `sigma` are not arguments:
+# they take the model's structure matrix or sigma block, and stand first, so
+# a model without one is reported before any argument is looked up.  Fields
+# are resolved in order, which decides the error reported first.
+# Style "check" functions return a CheckReport, printed as a pass/fail verdict
+# first; the others return (name, Poly) rows, printed as `name = expression`
+# lines ("named") or as expressions alone ("bare").  Residual lines always
+# follow as `location: expression`.
 _COMMANDS = {
-    "euler": (("density",), "Euler components of a density", "named", _euler),
+    "euler": (("density",), "Euler components of a density", "named",
+              lambda p: [(f"E[{fiber}]", c) for fiber, c in zip(p.ctx.fibers, euler(p))]),
     "dh": (("expr",), "horizontal differential of a function", "named", _dh),
-    "td": (("direction", "expr"), "total derivative along a direction", "bare", _td),
-    "l2": (("p", "q"), "bracket density of two densities", "bare", _l2),
-    "l3": (("p", "q", "r"), "homotopy correction of three densities", "bare", _l3),
-    "jacobiator": (("p", "q", "r"), "nested-bracket density", "bare", _jacobiator),
+    "td": (("direction", "expr"), "total derivative along a direction", "bare",
+           lambda i, f: [("", total_derivative(f, i))]),
+    "l2": (("omega", "p", "q"), "bracket density of two densities", "bare",
+           lambda omega, p, q: [("", l2_density(p, q, omega))]),
+    "l3": (("omega", "p", "q", "r"), "homotopy correction of three densities", "bare",
+           lambda omega, p, q, r: [("", l3(p, q, r, omega).form.scalar_coefficient())]),
+    "jacobiator": (("omega", "p", "q", "r"), "nested-bracket density", "bare",
+                   lambda omega, p, q, r: [("", jacobiator(p, q, r, omega))]),
     "invert-dx": (("expr",), "preimage under the total derivative", "bare",
-                  lambda model, args: _values(
-                      ("", invert_total_derivative(model.resolve_density(args.expr))))),
-    "average": (("group", "expr"), "group average of a density", "bare", _average),
-    "check poisson": ((), "pointwise Jacobi condition on omega", "check",
-                      lambda model, args: check_poisson_tensor(model.require_omega())),
-    "check covariance": (("auto",), "omega transforms as a bivector", "check",
-                         lambda model, args: check_covariance(
-                             model.require_omega(), model.get_automorphism(args.auto))),
-    "check canonical": (("auto", "p", "q"), "bracket density natural up to divergence",
-                        "check", _canonical),
-    "check invariance": (("group", "expr"), "density fixed by a group", "check", _invariance),
-    "check closure": (("group", "p", "q"), "bracket of invariant densities is invariant",
-                      "check", _closure),
-    "check shlie": (("p", "q", "r"), "low-degree structure relations", "check", _shlie),
+                  lambda f: [("", invert_total_derivative(f))]),
+    "average": (("group", "expr"), "group average of a density", "bare",
+                lambda group, f: [("", group_average(HorizontalForm.density(f), group)
+                                   .density_coefficient())]),
+    "check poisson": (("omega",), "pointwise Jacobi condition on omega", "check",
+                      check_poisson_tensor),
+    "check covariance": (("omega", "auto"), "omega transforms as a bivector", "check",
+                         check_covariance),
+    "check canonical": (("omega", "auto", "p", "q"),
+                        "bracket density natural up to divergence", "check",
+                        check_canonical_density),
+    "check invariance": (("group", "expr"), "density fixed by a group", "check",
+                         lambda group, f: check_invariance(HorizontalForm.density(f), group)),
+    "check closure": (("omega", "group", "p", "q"),
+                      "bracket of invariant densities is invariant", "check",
+                      lambda omega, group, p, q: check_invariant_closure(
+                          HorizontalForm.density(p), HorizontalForm.density(q), group, omega)),
+    "check shlie": (("omega", "p", "q", "r"), "low-degree structure relations", "check",
+                    lambda omega, p, q, r: check_shlie_relations(
+                        omega, triples=[(p, q, r)], pairs=[(p, q), (p, r), (q, r)])),
     "check el-transform": (("auto", "p"), "Euler components transform with the fiber Jacobian",
-                           "check", lambda model, args: check_el_transform(
-                               model.get_automorphism(args.auto),
-                               model.resolve_density(args.p))),
+                           "check", check_el_transform),
     "check commute": (("auto", "expr"), "pullback commutes with the horizontal differential",
-                      "check", _commute),
-    "check sigma-euler": ((), "sigma field equations in closed form", "check",
-                          lambda model, args: sigma_euler_check(model.require_sigma())),
-    "check sigma-invariance": (("matrix",), "Lagrangian fixed by an orthogonal matrix action",
-                               "check", lambda model, args: check_lagrangian_invariance(
-                                   model.require_sigma(), _rational_matrix(args.matrix))),
+                      "check", lambda auto, f: check_pullback_dh_commute(
+                          HorizontalForm.scalar(f), auto)),
+    "check sigma-euler": (("sigma",), "sigma field equations in closed form", "check",
+                          sigma_euler_check),
+    "check sigma-invariance": (("sigma", "matrix"),
+                               "Lagrangian fixed by an orthogonal matrix action", "check",
+                               check_lagrangian_invariance),
 }
 
 
@@ -193,7 +158,8 @@ def _parser() -> argparse.ArgumentParser:
             groups[group] = check.add_subparsers(dest="kind", required=True, metavar="kind")
         command = groups[group].add_parser(leaf, help=summary)
         for field in ("model", *fields):
-            command.add_argument(field)
+            if field not in ("omega", "sigma"):
+                command.add_argument(field)
     return parser
 
 
@@ -226,9 +192,15 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command if args.command != "check" else f"check {args.kind}"
-    _, _, style, handler = _COMMANDS[command]
+    fields, _, style, function = _COMMANDS[command]
+    # Call a library function through the name imported here, as a call by
+    # name would, so that rebinding that name (tracing, patching) reaches it.
+    function = globals().get(function.__name__, function)
     try:
-        report = handler(load_model(args.model), args)
+        model = load_model(args.model)
+        report = function(*(_resolve(model, field, args) for field in fields))
+        if style != "check":
+            report = CheckReport(True, results=tuple((name, render_expr(p)) for name, p in report))
     except NotExact as exc:
         return _emit_error(command, str(exc), args.json, 1)
     except _VALIDATION_ERRORS as exc:

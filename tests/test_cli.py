@@ -422,6 +422,17 @@ class TestExitCodes:
     def test_model_without_omega(self, invoke, models):
         assert invoke("l2", models["plane"], "u1", "u2")[0] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        # the model's omega or sigma is looked up before any argument
+        (("l2", "plane", "u9", "u1"), "the model declares no structure matrix (omega)"),
+        (("check", "sigma-invariance", "std", "nonsense"), "the model declares no sigma block"),
+        # then the arguments, in order
+        (("check", "closure", "std", "Zzz", "u9", "u1"), "unknown name 'Zzz'"),
+    ])
+    def test_lookup_order(self, invoke, models, argv, message):
+        argv = [models.get(arg, arg) for arg in argv]
+        assert invoke(*argv) == (2, "", f"error: {message}\n")
+
     def test_argparse_errors(self, invoke, capsys):
         assert run([]) == 2
         capsys.readouterr()
