@@ -157,7 +157,7 @@ class _Parser:
     def primary(self) -> Poly:
         kind, text, pos = self.advance()
         if kind == "num":
-            value = Fraction(int(text))
+            value = int(text)
             k, t, _ = self.peek()
             if k == "op" and t == "/":
                 self.advance()

@@ -1,14 +1,16 @@
 """Exact expression kernel for calculus on jet bundles of trivial vector bundles.
 
 Everything downstream works with :class:`Poly`: a sparse multivariate
-polynomial with arbitrary-precision rational coefficients in three kinds of
-generators, namely base coordinates x^i, jet coordinates u^a_I (where I is a
-symmetric multi-index over base directions, so u^a_yx and u^a_xy are the same
+polynomial with exact rational coefficients in three kinds of generators,
+namely base coordinates x^i, jet coordinates u^a_I (where I is a symmetric
+multi-index over base directions, so u^a_yx and u^a_xy are the same
 generator) and free parameters.  A generator is the tuple (kind, pos, order,
 index), and tuple order is the canonical order.  Polynomials are kept in
 canonical form: no zero coefficients, no zero exponents, factors sorted by
-generator; a `Poly` owns the term map it was built from.  Structural equality
-therefore decides mathematical equality, and there is no floating point.
+generator, and each coefficient stored as an `int` while it is integral and as
+a `Fraction` only when it is not; a `Poly` owns the term map it was built from.
+Structural equality therefore decides mathematical equality, and there is no
+floating point.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _normal_scalar(value: Scalar) -> Scalar:
+    """The stored form of an exact rational: an `int` while it is integral
+    (a `bool` included), a `Fraction` only when it is not.  Raises TypeError
+    on anything else, a float in particular."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact rational coefficient required, got {type(value).__name__}")
 
 
@@ -320,29 +325,42 @@ class Monomial:
 UNIT = Monomial()
 
 
-def _accumulate(terms: dict[Monomial, Fraction], mono: Monomial, c: Fraction):
-    """Add c to the coefficient of mono in terms, dropping it if it cancels."""
+def _accumulate(terms: dict[Monomial, Scalar], mono: Monomial, c: Scalar):
+    """Add c to the coefficient of mono in terms, dropping it if it cancels
+    and storing an integral sum as an `int`.
+
+    The normalisation is `_normal_scalar`'s, written out for the two types
+    that sums and products of stored coefficients have: this is the kernel's
+    innermost loop.
+    """
     s = terms.get(mono)
-    s = c if s is None else s + c
-    if s:
-        terms[mono] = s
-    else:
+    if s is not None:
+        c = s + c
+    if not c:
         terms.pop(mono, None)
+    elif type(c) is int:
+        terms[mono] = c
+    else:
+        terms[mono] = c.numerator if c.denominator == 1 else c
 
 
 class Poly:
     """Canonical sparse polynomial over the generators of one bundle chart.
 
     Immutable.  Supports +, -, * (with Poly, int or Fraction) and ** with a
-    non-negative integer.  Equality is structural equality of the canonical
-    term map, which coincides with mathematical equality.  The constructor is
-    the kernel's and owns, uncopied, the fresh canonical term map it is given;
+    non-negative integer.  Coefficients are exact rationals, stored as `int`
+    while integral and as `Fraction` only when not, so the queries `items`,
+    `sorted_terms`, `coefficient` and `constant_term` return a `Scalar`
+    (`int | Fraction`), and an absent term reads `0`.  A float is rejected
+    with TypeError.  Equality is structural equality of the canonical term
+    map, which coincides with mathematical equality.  The constructor is the
+    kernel's and owns, uncopied, the fresh canonical term map it is given;
     build with `zero`, `const`, `generator`, `from_terms` or `sum`.
     """
 
     __slots__ = ("ctx", "_terms", "_hash")
 
-    def __init__(self, ctx: BundleSpec, terms: dict[Monomial, Fraction]):
+    def __init__(self, ctx: BundleSpec, terms: dict[Monomial, Scalar]):
         self.ctx = ctx
         self._terms = terms
         self._hash = None
@@ -353,14 +371,14 @@ class Poly:
 
     @classmethod
     def const(cls, ctx: BundleSpec, value: Scalar) -> "Poly":
-        c = _as_fraction(value)
+        c = _normal_scalar(value)
         return cls(ctx, {UNIT: c} if c else {})
 
     @classmethod
     def generator(cls, ctx: BundleSpec, g: Generator) -> "Poly":
         if not g.declared_in(ctx):
             raise UnknownName(repr(g))
-        return cls(ctx, {Monomial(((g, 1),)): Fraction(1)})
+        return cls(ctx, {Monomial(((g, 1),)): 1})
 
     @classmethod
     def sum(cls, ctx: BundleSpec, parts: Iterable["Poly"]) -> "Poly":
@@ -383,9 +401,9 @@ class Poly:
 
     @classmethod
     def from_terms(cls, ctx: BundleSpec, items: Iterable[tuple[Monomial, Scalar]]) -> "Poly":
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, coeff in items:
-            _accumulate(terms, mono, _as_fraction(coeff))
+            _accumulate(terms, mono, _normal_scalar(coeff))
         return cls(ctx, terms)
 
     @property
@@ -395,18 +413,18 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending graded-lex order (the rendering order)."""
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self._terms.get(mono, 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(UNIT, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self._terms.get(UNIT, 0)
 
     def generators(self) -> set[Generator]:
         out: set[Generator] = set()
@@ -449,14 +467,14 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _normal_scalar(other)
             if not c:
                 return Poly.zero(self.ctx)
-            return Poly(self.ctx, {m: k * c for m, k in self._terms.items()})
+            return Poly(self.ctx, {m: _normal_scalar(k * c) for m, k in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ctx(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 _accumulate(terms, m1.times(m2), c1 * c2)
@@ -493,7 +511,7 @@ class Poly:
         """Partial derivative with respect to one generator."""
         if not g.declared_in(self.ctx):
             raise UnknownName(repr(g))
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, c in self._terms.items():
             e = mono.exponent(g)
             if not e:
@@ -505,7 +523,7 @@ class Poly:
         """Apply the derivation sending each generator g to the monomial
         image(g), or to zero when image(g) is None, in one pass over the
         terms: each power g^e contributes e * g^(e-1) * image(g)."""
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, c in self._terms.items():
             for g, e in mono.powers:
                 m = image(g)
@@ -526,7 +544,7 @@ class Poly:
                 raise ValueError("replacement polynomial over a different chart")
         power_cache: dict[tuple[Generator, int], Poly] = {}
         one = Poly.const(self.ctx, 1)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, c in self._terms.items():
             fixed = []
             replaced = one

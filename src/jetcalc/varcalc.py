@@ -30,6 +30,7 @@ the preimage in that case by peeling one jet order at a time.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .kernel import UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly
@@ -237,7 +238,7 @@ def _antiderivative(p: Poly, g: Generator) -> Poly:
     terms = []
     for mono, coeff in p.items():
         e = mono.exponent(g)
-        terms.append((mono.with_exponent(g, e + 1), coeff / (e + 1)))
+        terms.append((mono.with_exponent(g, e + 1), Fraction(coeff, e + 1)))
     return Poly.from_terms(ctx, terms)
 
 

@@ -173,5 +173,13 @@ def reference_euler(p):
     return tuple(Poly.sum(p.ctx, fiber) for fiber in parts)
 
 
+def assert_normal_coefficients(p):
+    """Every stored coefficient of p is nonzero and in its stored form: an
+    `int` (never a bool) or a `Fraction` that is not integral."""
+    for _, c in p.items():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -215,6 +215,17 @@ class TestPolyAlgebra:
         with pytest.raises(TypeError):
             u1 + 0.5
 
+    def test_bool_stored_as_int(self, ctx1):
+        # A stored True would render as the text "True".
+        g = gen_u(ctx1, 0)
+        u1 = Poly.generator(ctx1, g)
+        mono = Monomial([(g, 1)])
+        assert type(Poly.const(ctx1, True).constant_term()) is int
+        for p in (u1 * True, Poly.from_terms(ctx1, [(mono, True)])):
+            assert p.coefficient(mono) == 1
+            assert type(p.coefficient(mono)) is int
+        assert str(u1 * True) == "u1"
+
     def test_power(self, ctx1):
         u1 = Poly.generator(ctx1, gen_u(ctx1, 0))
         assert (u1 + 1) ** 2 == u1 * u1 + 2 * u1 + 1

@@ -1,10 +1,12 @@
 """Kernel arithmetic against sympy as an independent oracle.
 
 Random polynomials with rational coefficients over a chart with two base
-directions, two fibers and a parameter are summed, multiplied, powered,
-differentiated and substituted by jetcalc and by sympy; the results must agree
-exactly.  Every result is also checked to be in canonical form, and the
-monomial fast paths are compared with the validating constructor.
+directions, two fibers and a parameter are summed, multiplied, scaled,
+powered, differentiated and substituted by jetcalc and by sympy; the results
+must agree exactly.  Every result is also checked to be in canonical form,
+with each coefficient stored as an `int` or a non-integral `Fraction`; the
+`@example`s whose fractions cancel to integers pin that form.  The monomial
+fast paths are compared with the validating constructor.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ POOL = helpers.generator_pool(CTX, 2, include_params=True)
 SYMBOLS = {g: sympy.Symbol(g.name(CTX)) for g in POOL}
 U1, U2 = Generator.jet(0), Generator.jet(1)
 U1X = Generator.jet(0, MultiIndex((0,)))
+HALF = Fraction(1, 2)
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -36,6 +39,11 @@ def polys(max_terms=4):
         lambda items: Poly.from_terms(CTX, items))
 
 
+def poly(*terms):
+    """The polynomial sum of c * g^e over the (c, g, e) triples given."""
+    return Poly.from_terms(CTX, [(Monomial([(g, e)]), c) for c, g, e in terms])
+
+
 def to_sympy(p: Poly):
     return sympy.Add(*(
         sympy.Rational(c.numerator, c.denominator)
@@ -45,8 +53,8 @@ def to_sympy(p: Poly):
 
 def assert_agrees(p: Poly, expected):
     """p is canonical and equals the sympy expression `expected`."""
-    for mono, c in p.items():
-        assert c
+    helpers.assert_normal_coefficients(p)
+    for mono, _ in p.items():
         assert mono.powers == Monomial(mono.powers).powers
     assert sympy.expand(to_sympy(p) - expected) == 0
 
@@ -54,13 +62,22 @@ def assert_agrees(p: Poly, expected):
 class TestKernelOracle:
     @ORACLE
     @given(polys(), polys())
+    @example(poly((HALF, U1, 1)), poly((2, U2, 1)))
     def test_product(self, p, q):
         assert_agrees(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
 
     @ORACLE
     @given(st.lists(polys(), max_size=6))
+    @example([poly((HALF, U1, 1)), poly((HALF, U1, 1))])
     def test_sum(self, parts):
         assert_agrees(Poly.sum(CTX, parts), sympy.Add(*map(to_sympy, parts)))
+
+    @ORACLE
+    @given(polys(), coefficients)
+    @example(poly((Fraction(3, 2), U1, 1)), Fraction(2, 3))
+    def test_scalar_product(self, p, c):
+        scale = sympy.Rational(c.numerator, c.denominator)
+        assert_agrees(p * c, sympy.expand(to_sympy(p) * scale))
 
     @ORACLE
     @given(polys(max_terms=3), st.integers(0, 8))
@@ -69,11 +86,13 @@ class TestKernelOracle:
 
     @ORACLE
     @given(polys(), generators)
+    @example(poly((HALF, U1, 2)), U1)
     def test_partial(self, p, g):
         assert_agrees(p.partial(g), sympy.diff(to_sympy(p), SYMBOLS[g]))
 
     @ORACLE
     @given(polys(), st.dictionaries(generators, monomials, max_size=3))
+    @example(poly((HALF, U1, 2)), {U1: Monomial([(U2, 1)])})
     def test_derivation(self, p, images):
         expected = sympy.Add(*(
             sympy.diff(to_sympy(p), SYMBOLS[g]) * to_sympy(Poly.from_terms(CTX, [(m, 1)]))
@@ -86,6 +105,7 @@ class TestKernelOracle:
         Poly.from_terms(CTX, [(Monomial([(U1, 2), (U2, 1), (U1X, 1)]), 3)]),
         {U1: Poly.generator(CTX, U2), U2: Poly.generator(CTX, U1) + 1},
     )
+    @example(poly((HALF, U1, 2)), {U1: poly((2, U2, 1))})
     def test_substitute(self, p, mapping):
         expected = to_sympy(p).subs(
             {SYMBOLS[g]: to_sympy(q) for g, q in mapping.items()}, simultaneous=True)

@@ -256,6 +256,17 @@ class TestInvertTotalDerivative:
         assert invert_total_derivative(Poly.zero(ctx1)).is_zero
         assert invert_total_derivative(Poly.const(ctx1, 5)) == parse_expr("5*x", ctx1)
 
+    def test_exact_antiderivative(self, ctx1):
+        # Dividing an int coefficient by the new exponent must stay exact.
+        cubic = invert_total_derivative(parse_expr("x^2", ctx1))
+        assert cubic == parse_expr("1/3*x^3", ctx1)
+        assert str(cubic) == "1/3*x^3"
+        g = parse_expr("u1^3*u1_x", ctx1)
+        again = invert_total_derivative(total_derivative(g, 0))
+        assert again == g
+        for p in (cubic, again):
+            helpers.assert_normal_coefficients(p)
+
     def test_mixed_fiber_golden(self, ctx1):
         # both fibers feed the same order; the sweep must not double count
         h = total_derivative(parse_expr("u1*u2", ctx1), 0)
