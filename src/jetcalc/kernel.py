@@ -7,10 +7,13 @@ multi-index over base directions, so u^a_yx and u^a_xy are the same
 generator) and free parameters.  A generator is the tuple (kind, pos, order,
 index), and tuple order is the canonical order.  Polynomials are kept in
 canonical form: no zero coefficients, no zero exponents, factors sorted by
-generator, and each coefficient stored as an `int` while it is integral and as
-a `Fraction` only when it is not; a `Poly` owns the term map it was built from.
-Structural equality therefore decides mathematical equality, and there is no
-floating point.
+generator, and the coefficients stored as integer numerators over one positive
+denominator per polynomial, reduced so that it and the numerators have no
+common factor (the zero polynomial has denominator 1).  The arithmetic loops
+therefore see only integers.  A `Poly` owns the term map it was built from.
+Structural equality decides mathematical equality, and there is no floating
+point.  At the public boundary a coefficient is a `Scalar`: an `int` while it
+is integral and a reduced `Fraction` only when it is not.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
@@ -41,15 +45,24 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 Scalar = Union[int, Fraction]
 
 
-def _normal_scalar(value: Scalar) -> Scalar:
-    """The stored form of an exact rational: an `int` while it is integral
-    (a `bool` included), a `Fraction` only when it is not.  Raises TypeError
-    on anything else, a float in particular."""
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of an exact
+    rational (a `bool` reads as an `int`).  Raises TypeError on anything
+    else, a float in particular."""
     if isinstance(value, int):
-        return int(value)
+        return int(value), 1
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+        return value.numerator, value.denominator
     raise TypeError(f"exact rational coefficient required, got {type(value).__name__}")
+
+
+def _scalar(numerator: int, den: int) -> Scalar:
+    """The public form of numerator/den: an `int` while it is integral, a
+    reduced `Fraction` only when it is not."""
+    if den == 1:
+        return numerator
+    q, r = divmod(numerator, den)
+    return Fraction(numerator, den) if r else q
 
 
 @dataclass(frozen=True)
@@ -325,45 +338,78 @@ class Monomial:
 UNIT = Monomial()
 
 
-def _accumulate(terms: dict[Monomial, Scalar], mono: Monomial, c: Scalar):
-    """Add c to the coefficient of mono in terms, dropping it if it cancels
-    and storing an integral sum as an `int`.
-
-    The normalisation is `_normal_scalar`'s, written out for the two types
-    that sums and products of stored coefficients have: this is the kernel's
-    innermost loop.
-    """
+def _accumulate(terms: dict[Monomial, int], mono: Monomial, c: int):
+    """Add the integer numerator c to that of mono in terms, dropping the
+    term if it cancels.  All numerators of one map share one denominator,
+    so this, the kernel's innermost loop, adds only integers."""
     s = terms.get(mono)
     if s is not None:
-        c = s + c
-    if not c:
-        terms.pop(mono, None)
-    elif type(c) is int:
+        c += s
+    if c:
         terms[mono] = c
     else:
-        terms[mono] = c.numerator if c.denominator == 1 else c
+        terms.pop(mono, None)
+
+
+def _common_den(terms: dict[Monomial, int], den: int, other: int) -> tuple[int, int]:
+    """Bring the numerators `terms` over `den` and a part over `other` to
+    their least common denominator: rescale `terms` in place, and return
+    that denominator and the factor for the part's numerators."""
+    common = lcm(den, other)
+    if common != den:
+        grow = common // den
+        for mono in terms:
+            terms[mono] *= grow
+    return common, common // other
 
 
 class Poly:
     """Canonical sparse polynomial over the generators of one bundle chart.
 
     Immutable.  Supports +, -, * (with Poly, int or Fraction) and ** with a
-    non-negative integer.  Coefficients are exact rationals, stored as `int`
-    while integral and as `Fraction` only when not, so the queries `items`,
-    `sorted_terms`, `coefficient` and `constant_term` return a `Scalar`
-    (`int | Fraction`), and an absent term reads `0`.  A float is rejected
-    with TypeError.  Equality is structural equality of the canonical term
-    map, which coincides with mathematical equality.  The constructor is the
-    kernel's and owns, uncopied, the fresh canonical term map it is given;
-    build with `zero`, `const`, `generator`, `from_terms` or `sum`.
+    non-negative integer.  Coefficients are exact rationals, stored as
+    integer numerators over one positive denominator `_den` that is reduced
+    (`gcd(_den, *numerators) == 1`, and the zero polynomial has `_den == 1`),
+    so each product, partial or sum reduces once, by one gcd, at its end.
+    The public `Scalar` contract is unchanged: the queries `items`,
+    `sorted_terms`, `coefficient` and `constant_term` return an `int` while a
+    coefficient is integral and a reduced `Fraction` only when it is not, and
+    an absent term reads `0`.  A float is rejected with TypeError.  Equality
+    is structural equality of the reduced form, which coincides with
+    mathematical equality.  The constructor is the kernel's and owns,
+    uncopied, the fresh reduced term map it is given; build with `zero`,
+    `const`, `generator`, `from_terms` or `sum`.
     """
 
-    __slots__ = ("ctx", "_terms", "_hash")
+    __slots__ = ("ctx", "_terms", "_den", "_hash")
 
-    def __init__(self, ctx: BundleSpec, terms: dict[Monomial, Scalar]):
+    def __init__(self, ctx: BundleSpec, terms: dict[Monomial, int], den: int = 1):
         self.ctx = ctx
         self._terms = terms
+        self._den = den
         self._hash = None
+
+    @classmethod
+    def _reduced(cls, ctx: BundleSpec, terms: dict[Monomial, int], den: int) -> "Poly":
+        """The polynomial of the numerators `terms` over `den` > 0, brought to
+        lowest terms, in place, by one gcd.
+
+        The gcd is folded over the numerators and stops at the first 1.
+        `gcd(den, *numerators)` would build an argument tuple per result, and
+        the tuples it leaves on the interpreter's free lists raise the peak
+        memory of long runs.
+        """
+        if den != 1:
+            g = den
+            for c in terms.values():
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                for mono in terms:
+                    terms[mono] //= g
+        return cls(ctx, terms, den)
 
     @classmethod
     def zero(cls, ctx: BundleSpec) -> "Poly":
@@ -371,8 +417,8 @@ class Poly:
 
     @classmethod
     def const(cls, ctx: BundleSpec, value: Scalar) -> "Poly":
-        c = _normal_scalar(value)
-        return cls(ctx, {UNIT: c} if c else {})
+        c, den = _ratio(value)
+        return cls(ctx, {UNIT: c}, den) if c else cls(ctx, {})
 
     @classmethod
     def generator(cls, ctx: BundleSpec, g: Generator) -> "Poly":
@@ -386,25 +432,40 @@ class Poly:
 
         The first part's terms are copied once and every other term is folded
         in once, instead of building a partial sum per part; `a + b` is the
-        two-part case.  Raises ValueError on a part over another chart.
+        two-part case.  Parts stream: the running sum is kept over the least
+        common denominator of the parts so far, and each part is scaled by
+        that denominator over its own, so parts that are all integral fold
+        with no scaling.  Raises ValueError on a part over another chart.
         """
-        terms = None
+        terms: dict[Monomial, int] = {}
+        den = 1
         for part in parts:
             if part.ctx is not ctx and part.ctx != ctx:
                 raise ValueError("polynomials over different bundle charts")
-            if terms is None:
+            scale = 1
+            if part._den != den:
+                den, scale = _common_den(terms, den, part._den)
+            if scale == 1 and not terms:
                 terms = dict(part._terms)
-                continue
-            for mono, c in part._terms.items():
-                _accumulate(terms, mono, c)
-        return cls(ctx, terms or {})
+            elif scale == 1:
+                for mono, c in part._terms.items():
+                    _accumulate(terms, mono, c)
+            else:
+                for mono, c in part._terms.items():
+                    _accumulate(terms, mono, c * scale)
+        return cls._reduced(ctx, terms, den)
 
     @classmethod
     def from_terms(cls, ctx: BundleSpec, items: Iterable[tuple[Monomial, Scalar]]) -> "Poly":
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, int] = {}
+        den = 1
         for mono, coeff in items:
-            _accumulate(terms, mono, _normal_scalar(coeff))
-        return cls(ctx, terms)
+            c, d = _ratio(coeff)
+            if d != den:
+                den, scale = _common_den(terms, den, d)
+                c *= scale
+            _accumulate(terms, mono, c)
+        return cls._reduced(ctx, terms, den)
 
     @property
     def is_zero(self) -> bool:
@@ -414,17 +475,20 @@ class Poly:
         return bool(self._terms)
 
     def items(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self._terms.items())
+        den = self._den
+        if den == 1:
+            return iter(self._terms.items())
+        return ((mono, _scalar(c, den)) for mono, c in self._terms.items())
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending graded-lex order (the rendering order)."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
+        return sorted(self.items(), key=lambda t: t[0].sort_key())
 
     def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(mono, 0)
+        return _scalar(self._terms.get(mono, 0), self._den)
 
     def constant_term(self) -> Scalar:
-        return self._terms.get(UNIT, 0)
+        return self.coefficient(UNIT)
 
     def generators(self) -> set[Generator]:
         out: set[Generator] = set()
@@ -444,41 +508,42 @@ class Poly:
             raise ValueError("polynomials over different bundle charts")
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.ctx, other)
         return Poly.sum(self.ctx, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, {m: -c for m, c in self._terms.items()})
+        return Poly(self.ctx, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.ctx, other)
         return self.__add__(other.__neg__())
 
     def __rsub__(self, other) -> "Poly":
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = _normal_scalar(other)
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c, den = _ratio(other)
             if not c:
                 return Poly.zero(self.ctx)
-            return Poly(self.ctx, {m: _normal_scalar(k * c) for m, k in self._terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+            return Poly._reduced(self.ctx, {m: k * c for m, k in self._terms.items()},
+                                 self._den * den)
         self._check_ctx(other)
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 _accumulate(terms, m1.times(m2), c1 * c2)
-        return Poly(self.ctx, terms)
+        return Poly._reduced(self.ctx, terms, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -496,46 +561,49 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.ctx, other)
+        return (self.ctx == other.ctx and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ctx, frozenset(self._terms.items())))
+            self._hash = hash((self.ctx, self._den, frozenset(self._terms.items())))
         return self._hash
 
     def partial(self, g: Generator) -> "Poly":
         """Partial derivative with respect to one generator."""
         if not g.declared_in(self.ctx):
             raise UnknownName(repr(g))
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, int] = {}
         for mono, c in self._terms.items():
             e = mono.exponent(g)
             if not e:
                 continue
             _accumulate(terms, mono.with_exponent(g, e - 1), c * e)
-        return Poly(self.ctx, terms)
+        return Poly._reduced(self.ctx, terms, self._den)
 
     def derivation(self, image: Callable[[Generator], Monomial | None]) -> "Poly":
         """Apply the derivation sending each generator g to the monomial
         image(g), or to zero when image(g) is None, in one pass over the
         terms: each power g^e contributes e * g^(e-1) * image(g)."""
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, int] = {}
         for mono, c in self._terms.items():
             for g, e in mono.powers:
                 m = image(g)
                 if m is not None:
                     _accumulate(terms, mono.with_exponent(g, e - 1).times(m), c * e)
-        return Poly(self.ctx, terms)
+        return Poly._reduced(self.ctx, terms, self._den)
 
     def substitute(self, mapping: Mapping[Generator, "Poly"]) -> "Poly":
         """Simultaneously replace generators by polynomials.
 
         Generators absent from the mapping are left fixed.  The substitution
         is simultaneous: replacement polynomials are never re-substituted.
+        The per-term products accumulate in one integer map over the least
+        common denominator of the replaced factors so far, as in `sum`.
         """
         for g, q in mapping.items():
             if not g.declared_in(self.ctx):
@@ -544,7 +612,8 @@ class Poly:
                 raise ValueError("replacement polynomial over a different chart")
         power_cache: dict[tuple[Generator, int], Poly] = {}
         one = Poly.const(self.ctx, 1)
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, int] = {}
+        den = 1
         for mono, c in self._terms.items():
             fixed = []
             replaced = one
@@ -561,9 +630,12 @@ class Poly:
                 replaced = powered if replaced is one else replaced * powered
             # A subsequence of a canonical power tuple is canonical.
             head = Monomial._canonical(tuple(fixed))
+            if replaced._den != den:
+                den, scale = _common_den(terms, den, replaced._den)
+                c *= scale
             for m, k in replaced._terms.items():
                 _accumulate(terms, head.times(m), c * k)
-        return Poly(self.ctx, terms)
+        return Poly._reduced(self.ctx, terms, self._den * den)
 
     def __str__(self) -> str:
         from .dsl import render_expr

@@ -202,7 +202,9 @@ class FiniteGroupAction:
     """A finite set of automorphisms, closed under composition and inverse.
 
     `FiniteGroupAction(elements)` validates its elements: no duplicates, the
-    identity listed, and every composite listed.  Inverses need no check of
+    identity listed, and every composite listed.  Only composites of two
+    non-identity elements are formed: a composite with the identity is the
+    other element, psi and psi_inv unchanged.  Inverses need no check of
     their own: for each listed g, h -> g after h is injective on the finite
     listed set (g is invertible) and stays in it, so it reaches the identity
     and g's inverse is listed.  The group that `generated_by` returns is valid
@@ -221,10 +223,12 @@ class FiniteGroupAction:
         members = set(self.elements)
         if len(members) != len(self.elements):
             raise ValueError("duplicate group element")
-        if Automorphism.identity(ctx) not in members:
+        identity = Automorphism.identity(ctx)
+        if identity not in members:
             raise ValueError("the identity automorphism must be listed")
-        for g in self.elements:
-            for h in self.elements:
+        others = [g for g in self.elements if g != identity]
+        for g in others:
+            for h in others:
                 if g.compose(h) not in members:
                     raise ValueError("the listed elements are not closed under composition")
 

@@ -174,11 +174,15 @@ def reference_euler(p):
 
 
 def assert_normal_coefficients(p):
-    """Every stored coefficient of p is nonzero and in its stored form: an
-    `int` (never a bool) or a `Fraction` that is not integral."""
+    """Every coefficient of p is nonzero and in its public form, an `int`
+    (never a bool) or a `Fraction` that is not integral, and p equals, hash
+    included, its rebuild from those terms, so its stored form is reduced."""
     for _, c in p.items():
         assert c
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    rebuilt = Poly.from_terms(p.ctx, p.items())
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
 
 
 def seeded(seed):

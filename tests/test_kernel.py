@@ -289,6 +289,29 @@ class TestPolyAlgebra:
             assert hash(lhs) == hash(rhs)
             assert len({lhs, rhs}) == 1
 
+    @pytest.mark.parametrize("den", [2, 3, 5, 13, 25])
+    def test_one_value_by_different_routes(self, ctx2, den):
+        # Each coefficient is stored over a denominator shared by the whole
+        # polynomial; only its reduced form makes these routes agree.
+        rng = helpers.seeded(den)
+        for _ in range(20):
+            c = Fraction(rng.choice((1, 2, 3, 4, 6, 7, 12)), den)
+            p = helpers.random_poly(rng, ctx2) * c
+            d = rng.choice((2, 3, 5, 13, 25))
+            q = helpers.random_poly(rng, ctx2) * Fraction(rng.randint(1, 9), d)
+            parts = [p, q, -p * 2, q * c, helpers.random_poly(rng, ctx2), p * Fraction(3, 2)]
+            shuffled = rng.sample(parts, len(parts))
+            for got, want in (
+                ((p * c) * (1 / c), p),
+                ((p + q) - q, p),
+                (p * c - c * p, Poly.zero(ctx2)),
+                (Poly.sum(ctx2, shuffled), Poly.sum(ctx2, parts)),
+                (Poly.sum(ctx2, shuffled), p + q - 2 * p + c * q + parts[4] + Fraction(3, 2) * p),
+            ):
+                helpers.assert_normal_coefficients(got)
+                assert got == want
+                assert hash(got) == hash(want)
+
 
 class TestPolyQueries:
     def test_coefficient_and_terms(self, ctx1):

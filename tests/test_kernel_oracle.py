@@ -3,10 +3,13 @@
 Random polynomials with rational coefficients over a chart with two base
 directions, two fibers and a parameter are summed, multiplied, scaled,
 powered, differentiated and substituted by jetcalc and by sympy; the results
-must agree exactly.  Every result is also checked to be in canonical form,
-with each coefficient stored as an `int` or a non-integral `Fraction`; the
-`@example`s whose fractions cancel to integers pin that form.  The monomial
-fast paths are compared with the validating constructor.
+must agree exactly.  Every result is also checked to be in canonical form:
+each coefficient reads as an `int` or a non-integral `Fraction`, and the
+result equals its rebuild from those terms, so its shared denominator is
+reduced.  The `@example`s pin the cases where fractions cancel to integers,
+fully or in part, where parts have coprime denominators, and where a
+substitution multiplies out over several denominators.  The monomial fast
+paths are compared with the validating constructor.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ POOL = helpers.generator_pool(CTX, 2, include_params=True)
 SYMBOLS = {g: sympy.Symbol(g.name(CTX)) for g in POOL}
 U1, U2 = Generator.jet(0), Generator.jet(1)
 U1X = Generator.jet(0, MultiIndex((0,)))
+K = Generator.param(0)
 HALF = Fraction(1, 2)
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
@@ -63,18 +67,24 @@ class TestKernelOracle:
     @ORACLE
     @given(polys(), polys())
     @example(poly((HALF, U1, 1)), poly((2, U2, 1)))
+    @example(poly((HALF, U1, 1), (HALF, U2, 1)), Poly.const(CTX, 2))  # cancels fully
+    @example(poly((Fraction(1, 6), U1, 1), (Fraction(1, 4), U2, 1)),
+             poly((2, U1, 1)))  # 1/12 * 2 cancels to 1/6
     def test_product(self, p, q):
         assert_agrees(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
 
     @ORACLE
     @given(st.lists(polys(), max_size=6))
     @example([poly((HALF, U1, 1)), poly((HALF, U1, 1))])
+    @example([poly((HALF, U1, 1)), poly((Fraction(1, 3), U1, 1), (Fraction(2, 5), U2, 1)),
+              poly((Fraction(-5, 6), U1, 1), (Fraction(1, 7), K, 1))])  # coprime denominators
     def test_sum(self, parts):
         assert_agrees(Poly.sum(CTX, parts), sympy.Add(*map(to_sympy, parts)))
 
     @ORACLE
     @given(polys(), coefficients)
     @example(poly((Fraction(3, 2), U1, 1)), Fraction(2, 3))
+    @example(poly((HALF, U1, 1), (HALF, U2, 1)), Fraction(2))
     def test_scalar_product(self, p, c):
         scale = sympy.Rational(c.numerator, c.denominator)
         assert_agrees(p * c, sympy.expand(to_sympy(p) * scale))
@@ -106,6 +116,12 @@ class TestKernelOracle:
         {U1: Poly.generator(CTX, U2), U2: Poly.generator(CTX, U1) + 1},
     )
     @example(poly((HALF, U1, 2)), {U1: poly((2, U2, 1))})
+    @example(  # two Pythagorean rotations: products over 25, 65 and 13
+        Poly.from_terms(CTX, [(Monomial([(U1, 2)]), 1), (Monomial([(U1, 1), (U2, 1)]), 2),
+                              (Monomial([(U2, 1), (K, 1)]), HALF), (Monomial([(K, 1)]), 3)]),
+        {U1: poly((Fraction(3, 5), U1, 1), (Fraction(4, 5), U2, 1)),
+         U2: poly((Fraction(5, 13), U1, 1), (Fraction(-12, 13), U2, 1))},
+    )
     def test_substitute(self, p, mapping):
         expected = to_sympy(p).subs(
             {SYMBOLS[g]: to_sympy(q) for g, q in mapping.items()}, simultaneous=True)

@@ -5,6 +5,7 @@ import textwrap
 import pytest
 
 from jetcalc import (
+    Automorphism,
     BundleSpec,
     NonSkew,
     ParseError,
@@ -183,6 +184,11 @@ class TestAutoStatement:
 
 
 class TestGroupStatement:
+    AUTOS = ("bundle { base = [x]; fibers = [u1, u2] }\n"
+             "auto Id { u1 -> u1, u2 -> u2 inv { u1 -> u1, u2 -> u2 } }\n"
+             "auto Rot90 { u1 -> u2, u2 -> -u1 inv { u1 -> -u2, u2 -> u1 } }\n"
+             "auto Rot180 { u1 -> -u1, u2 -> -u2 inv { u1 -> -u1, u2 -> -u2 } }\n")
+
     def test_member_must_exist(self):
         with pytest.raises(UnknownName):
             parse_model("bundle { base = [x]; fibers = [u1] }\n"
@@ -202,11 +208,7 @@ class TestGroupStatement:
                      id="bad-inverse"),
     ])
     def test_invalid_group_wrapped(self, statement, message, tmp_path, capsys):
-        text = ("bundle { base = [x]; fibers = [u1, u2] }\n"
-                "auto Id { u1 -> u1, u2 -> u2 inv { u1 -> u1, u2 -> u2 } }\n"
-                "auto Rot90 { u1 -> u2, u2 -> -u1 inv { u1 -> -u2, u2 -> u1 } }\n"
-                "auto Rot180 { u1 -> -u1, u2 -> -u2 inv { u1 -> -u1, u2 -> -u2 } }\n"
-                + statement)
+        text = self.AUTOS + statement
         with pytest.raises(ParseError) as err:
             parse_model(text)
         assert str(err.value) == f"{message} (at position 228)"
@@ -214,6 +216,28 @@ class TestGroupStatement:
         path.write_text(text + "\n", encoding="utf-8")
         assert run(["euler", str(path), "u1"]) == 2
         assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
+
+    def test_closure_composes_non_identity_pairs_only(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        compose = Automorphism.compose
+
+        def counted(g, h):
+            calls.append((g.is_identity, h.is_identity))
+            return compose(g, h)
+
+        monkeypatch.setattr(Automorphism, "compose", counted)
+        c4 = (self.AUTOS
+              + "auto Rot270 { u1 -> -u2, u2 -> u1 inv { u1 -> u2, u2 -> -u1 } }\n"
+              + "group G = [Id, Rot90, Rot180, Rot270]")
+        assert parse_model(c4).get_group("G").order == 4
+        assert calls == [(False, False)] * 9
+        calls.clear()
+        message = "invalid group 'G': the listed elements are not closed under composition"
+        path = tmp_path / "open.jet"
+        path.write_text(self.AUTOS + "group G = [Id, Rot90]\n", encoding="utf-8")
+        assert run(["euler", str(path), "u1"]) == 2
+        assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
+        assert calls == [(False, False)]
 
 
 class TestSigmaStatement:
