@@ -29,9 +29,9 @@ from .sigma import (NotOrthogonal, SigmaModelSpec, build_sigma,
                     check_lagrangian_invariance, contracted_curvature,
                     covariant_derivative, ikeda_lagrangian, orthogonal_action,
                     sigma_bundle, sigma_euler_check)
-from .symmetry import (Automorphism, FiniteGroupAction, PreconditionFailed,
-                       check_canonical_density, check_covariance,
-                       check_el_transform, check_invariance,
+from .symmetry import (Automorphism, FiniteGroupAction, InvalidGroup,
+                       PreconditionFailed, check_canonical_density,
+                       check_covariance, check_el_transform, check_invariance,
                        check_invariant_closure, check_pullback_dh_commute,
                        group_average, pullback, pullback_form)
 from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
@@ -41,10 +41,10 @@ from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
 __all__ = [
     "Automorphism", "BundleSpec", "CheckReport", "DegreeError",
     "EntryNotOrderZero", "FiniteGroupAction", "FunctionalClass", "Generator",
-    "GradedElement", "HorizontalForm", "JetcalcError", "Monomial", "MultiIndex",
-    "ModelFile", "NonSkew", "NotExact", "NotOrthogonal", "OmegaSpec",
-    "ParseError", "Poly", "PreconditionFailed", "SigmaModelSpec",
-    "UnknownName", "Unsupported", "bracket", "build_sigma",
+    "GradedElement", "HorizontalForm", "InvalidGroup", "JetcalcError",
+    "Monomial", "MultiIndex", "ModelFile", "NonSkew", "NotExact",
+    "NotOrthogonal", "OmegaSpec", "ParseError", "Poly", "PreconditionFailed",
+    "SigmaModelSpec", "UnknownName", "Unsupported", "bracket", "build_sigma",
     "check_canonical_density", "check_covariance", "check_el_transform",
     "check_invariance", "check_invariant_closure", "check_lagrangian_invariance",
     "check_poisson_tensor", "check_pullback_dh_commute", "check_shlie_relations",

@@ -585,6 +585,24 @@ class Poly:
             _accumulate(terms, mono.with_exponent(g, e - 1), c * e)
         return Poly._reduced(self.ctx, terms, self._den)
 
+    def antiderivative(self, g: Generator) -> "Poly":
+        """Antiderivative with respect to one generator, with no constant of
+        integration: g^e becomes g^(e+1)/(e+1).  Each numerator is scaled to
+        the common denominator `_den * lcm(e+1)`, and the result is reduced
+        once; raising one exponent keeps distinct monomials distinct.  The
+        lcm is folded, as the gcd in `_reduced`, so that no argument tuple
+        is built per call."""
+        if not g.declared_in(self.ctx):
+            raise UnknownName(repr(g))
+        common = 1
+        for mono in self._terms:
+            common = lcm(common, mono.exponent(g) + 1)
+        terms: dict[Monomial, int] = {}
+        for mono, c in self._terms.items():
+            k = mono.exponent(g) + 1
+            terms[mono.with_exponent(g, k)] = c * (common // k)
+        return Poly._reduced(self.ctx, terms, self._den * common)
+
     def derivation(self, image: Callable[[Generator], Monomial | None]) -> "Poly":
         """Apply the derivation sending each generator g to the monomial
         image(g), or to zero when image(g) is None, in one pass over the

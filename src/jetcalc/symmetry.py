@@ -197,40 +197,72 @@ def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
     return CheckReport(True)
 
 
+class InvalidGroup(JetcalcError, ValueError):
+    """A listed set of automorphisms is not a group, or generating one
+    exceeds its bound."""
+
+
 @dataclass(frozen=True)
 class FiniteGroupAction:
     """A finite set of automorphisms, closed under composition and inverse.
 
+    The group keeps a generating set, and the group checks act on it only.
+    This is exact: every element is a composite of the generators (in a
+    finite group an inverse is a positive power), and invariance of a form,
+    like covariance of a structure, is closed under composition, since
+    pullback is contravariant and prolongation a homomorphism.
+
     `FiniteGroupAction(elements)` validates its elements: no duplicates, the
-    identity listed, and every composite listed.  Only composites of two
-    non-identity elements are formed: a composite with the identity is the
-    other element, psi and psi_inv unchanged.  Inverses need no check of
-    their own: for each listed g, h -> g after h is injective on the finite
-    listed set (g is invertible) and stays in it, so it reaches the identity
-    and g's inverse is listed.  The group that `generated_by` returns is valid
-    by construction and is not re-checked.
+    identity listed, and every composite listed.  It walks the elements in
+    order; each one not yet reached becomes a generator, and the reached set
+    is then closed under left composition by the generators, every composite
+    being looked up among the listed elements.  At the end every element is
+    reached, so the listed set is the group the generators generate.  That
+    costs at most |G| - 1 compositions per generator, none with the
+    identity.  Inverses need no check of their own: for each listed g,
+    h -> g after h is injective on the finite listed set (g is invertible)
+    and stays in it, so it reaches the identity and g's inverse is listed.
+    The group that `generated_by` returns is valid by construction and is
+    not re-checked.  Equality and hashing read `elements` only.
     """
 
     elements: tuple[Automorphism, ...]
 
     def __post_init__(self):
         if not self.elements:
-            raise ValueError("a group action needs at least the identity")
+            raise InvalidGroup("a group action needs at least the identity")
         ctx = self.elements[0].ctx
         for g in self.elements:
             if g.ctx != ctx:
-                raise ValueError("group elements over different charts")
+                raise InvalidGroup("group elements over different charts")
         members = set(self.elements)
         if len(members) != len(self.elements):
-            raise ValueError("duplicate group element")
+            raise InvalidGroup("duplicate group element")
         identity = Automorphism.identity(ctx)
         if identity not in members:
-            raise ValueError("the identity automorphism must be listed")
-        others = [g for g in self.elements if g != identity]
-        for g in others:
-            for h in others:
-                if g.compose(h) not in members:
-                    raise ValueError("the listed elements are not closed under composition")
+            raise InvalidGroup("the identity automorphism must be listed")
+        generators = []
+        reached = [identity]
+        seen = {identity}
+        for g in self.elements:
+            if g in seen:
+                continue
+            generators.append(g)
+            # The elements reached so far are closed under the earlier
+            # generators: apply the new one to them, and every generator to
+            # the elements they give.  reached[0] is the identity, and g after
+            # the identity is g.
+            old = len(reached)
+            for i, x in enumerate(reached):
+                for h in (generators if i >= old else (g,)):
+                    y = h.compose(x) if i else h
+                    if y in seen:
+                        continue
+                    if y not in members:
+                        raise InvalidGroup("the listed elements are not closed under composition")
+                    reached.append(y)
+                    seen.add(y)
+        object.__setattr__(self, "_generators", tuple(generators))
 
     @property
     def ctx(self) -> BundleSpec:
@@ -249,24 +281,28 @@ class FiniteGroupAction:
         generator g, in the order given, and g after x is appended when new.
         One generator thus gives id, g, g^2, ...  A finite set of bijections
         closed under composition holds every inverse (g^k = id for some k),
-        so the result is a group without further checks.
+        so the result is a group without further checks.  The group keeps
+        the generators, less the identity and repeats, and its checks act on
+        them only: they generate every element, so that is exact.
         """
         if not generators:
-            raise ValueError("at least one generator is required")
+            raise InvalidGroup("at least one generator is required")
         identity = Automorphism.identity(generators[0].ctx)
+        generators = tuple(dict.fromkeys(g for g in generators if g != identity))
         elements = [identity]
         members = {identity}
         for x in elements:
             for g in generators:
-                y = g.compose(x)
+                y = g.compose(x) if x is not identity else g
                 if y in members:
                     continue
                 elements.append(y)
                 members.add(y)
                 if len(elements) > max_order:
-                    raise ValueError(f"group generation exceeded {max_order} elements")
+                    raise InvalidGroup(f"group generation exceeded {max_order} elements")
         group = object.__new__(cls)
         object.__setattr__(group, "elements", tuple(elements))
+        object.__setattr__(group, "_generators", generators)
         return group
 
 
@@ -281,10 +317,14 @@ def group_average(form: HorizontalForm, group: FiniteGroupAction) -> HorizontalF
 def check_invariance(form: HorizontalForm, group: FiniteGroupAction) -> CheckReport:
     """Is the form fixed by every group element?
 
-    Each element that moves the form is reported at `element[k]`, k its
-    position in the group, with each nonzero coefficient of the pullback
-    minus the form.
+    The generators decide: a form fixed by g and by h is fixed by g after h,
+    because pullback is contravariant, and the generators generate every
+    element of the finite group.  When one of them moves the form, every
+    element that moves it is reported at `element[k]`, k its position in
+    the group, with each nonzero coefficient of the pullback minus the form.
     """
+    if all(pullback_form(form, g) == form for g in group._generators):
+        return CheckReport(True)
     residuals = []
     for k, g in enumerate(group.elements):
         moved = pullback_form(form, g)
@@ -299,6 +339,9 @@ def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,
 
     Preconditions (raising PreconditionFailed otherwise): alpha and beta are
     invariant top-degree forms and omega is covariant under every element.
+    Covariance is checked on the group's generators: by the chain rule, a
+    structure covariant under g and under h is covariant under g after h,
+    and the generators generate every element.
     """
     ctx = omega.ctx
     if alpha.degree != ctx.n or beta.degree != ctx.n:
@@ -307,7 +350,7 @@ def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,
         raise PreconditionFailed("alpha is not invariant under the group")
     if not check_invariance(beta, group):
         raise PreconditionFailed("beta is not invariant under the group")
-    for g in group.elements:
+    for g in group._generators:
         if not check_covariance(omega, g).passed:
             raise PreconditionFailed("omega is not covariant under every group element")
     density = l2_density(alpha.density_coefficient(), beta.density_coefficient(), omega)

@@ -30,7 +30,6 @@ the preimage in that case by peeling one jet order at a time.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .kernel import UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly
@@ -232,16 +231,6 @@ def is_divergence(p: Poly) -> bool:
     return all(component.is_zero for component in euler(p))
 
 
-def _antiderivative(p: Poly, g: Generator) -> Poly:
-    """Antidifferentiate with respect to one generator, no integration constant."""
-    ctx = p.ctx
-    terms = []
-    for mono, coeff in p.items():
-        e = mono.exponent(g)
-        terms.append((mono.with_exponent(g, e + 1), Fraction(coeff, e + 1)))
-    return Poly.from_terms(ctx, terms)
-
-
 def invert_total_derivative(h: Poly) -> Poly:
     """Produce g with D_x g = h over a one-dimensional base, if possible.
 
@@ -261,7 +250,7 @@ def invert_total_derivative(h: Poly) -> Poly:
         if k == 0:
             if any(g.is_jet for g in current.generators()):
                 raise NotExact("terminal remainder still depends on fiber coordinates")
-            pieces.append(_antiderivative(current, Generator.base(0)))
+            pieces.append(current.antiderivative(Generator.base(0)))
             break
         for mono, _ in current.items():
             top_degree = sum(e for g, e in mono.powers if g.is_jet and g.order == k)
@@ -272,7 +261,7 @@ def invert_total_derivative(h: Poly) -> Poly:
             coeff = current.partial(top)
             if coeff.is_zero:
                 continue
-            piece = _antiderivative(coeff, Generator.jet(a, MultiIndex((0,) * (k - 1))))
+            piece = coeff.antiderivative(Generator.jet(a, MultiIndex((0,) * (k - 1))))
             pieces.append(piece)
             current = current - total_derivative(piece, 0)
         if not current.is_zero and current.max_order() >= k:

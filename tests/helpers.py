@@ -15,10 +15,16 @@ from hypothesis import strategies as st
 from jetcalc import (
     Automorphism,
     BundleSpec,
+    CheckReport,
     Generator,
+    HorizontalForm,
     Monomial,
     MultiIndex,
     Poly,
+    PreconditionFailed,
+    check_covariance,
+    l2_density,
+    pullback_form,
 )
 
 # Rational points on the unit circle, used to build exactly invertible
@@ -108,7 +114,7 @@ def shear(ctx, target, offset):
     return Automorphism(ctx, tuple(psi), tuple(psi_inv))
 
 
-def random_shear(rng, ctx, target, x_dependent=True):
+def random_shear(rng, ctx, target, x_dependent=True, max_degree=2):
     pool = []
     if x_dependent:
         pool.extend(Generator.base(i) for i in range(ctx.n))
@@ -117,7 +123,7 @@ def random_shear(rng, ctx, target, x_dependent=True):
             pool.append(Generator.jet(c, MultiIndex(())))
     if not pool:
         return shear(ctx, target, Poly.const(ctx, rng.randint(1, 3)))
-    offset = random_poly(rng, ctx, max_degree=2, max_terms=2, pool=pool)
+    offset = random_poly(rng, ctx, max_degree=max_degree, max_terms=2, pool=pool)
     return shear(ctx, target, offset)
 
 
@@ -171,6 +177,34 @@ def reference_euler(p):
                 term = reference_total_derivative(term, i)
             parts[g.pos].append(-term if g.order % 2 else term)
     return tuple(Poly.sum(p.ctx, fiber) for fiber in parts)
+
+
+def reference_check_invariance(form, group):
+    """Invariance by its definition: pull the form back under every element
+    and report each element that moves it at `element[k]`, with each nonzero
+    coefficient of the pullback minus the form."""
+    residuals = []
+    for k, g in enumerate(group.elements):
+        moved = pullback_form(form, g)
+        if moved != form:
+            residuals.extend((f"element[{k}]", poly) for _, poly in (moved - form).coeffs)
+    return CheckReport(not residuals, tuple(residuals))
+
+
+def reference_check_invariant_closure(alpha, beta, group, omega):
+    """The invariant-closure check with every precondition tested on every
+    group element."""
+    if alpha.degree != omega.ctx.n or beta.degree != omega.ctx.n:
+        raise PreconditionFailed("closure check expects top-degree forms")
+    if not reference_check_invariance(alpha, group):
+        raise PreconditionFailed("alpha is not invariant under the group")
+    if not reference_check_invariance(beta, group):
+        raise PreconditionFailed("beta is not invariant under the group")
+    for g in group.elements:
+        if not check_covariance(omega, g):
+            raise PreconditionFailed("omega is not covariant under every group element")
+    density = l2_density(alpha.density_coefficient(), beta.density_coefficient(), omega)
+    return CheckReport(reference_check_invariance(HorizontalForm.density(density), group).passed)
 
 
 def assert_normal_coefficients(p):

@@ -351,6 +351,26 @@ class TestPolyQueries:
             g2 = rng.choice(pool)
             assert p.partial(g1).partial(g2) == p.partial(g2).partial(g1)
 
+    def test_antiderivative_golden(self, ctx1):
+        p = parse_expr("2/3*x^2*u1 + u1^3*u2 + 4*u2", ctx1)
+        assert p.antiderivative(gen_u(ctx1, 0)) == parse_expr(
+            "1/3*x^2*u1^2 + 1/4*u1^4*u2 + 4*u1*u2", ctx1)
+        assert Poly.zero(ctx1).antiderivative(Generator.base(0)).is_zero
+        with pytest.raises(UnknownName):
+            p.antiderivative(Generator.base(1))
+
+    def test_antiderivative_inverts_partial(self, ctx2):
+        rng = helpers.seeded(78)
+        pool = helpers.generator_pool(ctx2, 2)
+        for _ in range(100):
+            p = helpers.random_poly(rng, ctx2, pool=pool) * Fraction(rng.randint(1, 9),
+                                                                      rng.randint(1, 9))
+            g = rng.choice(pool)
+            integral = p.antiderivative(g)
+            helpers.assert_normal_coefficients(integral)
+            assert integral.partial(g) == p
+            assert integral.coefficient(Monomial()) == 0
+
     def test_substitute_golden(self, ctx1):
         u1g = gen_u(ctx1, 0)
         u1 = Poly.generator(ctx1, u1g)

@@ -7,6 +7,7 @@ import pytest
 from jetcalc import (
     Automorphism,
     BundleSpec,
+    FiniteGroupAction,
     NonSkew,
     ParseError,
     UnknownName,
@@ -217,7 +218,7 @@ class TestGroupStatement:
         assert run(["euler", str(path), "u1"]) == 2
         assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
 
-    def test_closure_composes_non_identity_pairs_only(self, monkeypatch, tmp_path, capsys):
+    def test_closure_composes_generators_only(self, monkeypatch, tmp_path, capsys):
         calls = []
         compose = Automorphism.compose
 
@@ -230,7 +231,7 @@ class TestGroupStatement:
               + "auto Rot270 { u1 -> -u2, u2 -> u1 inv { u1 -> u2, u2 -> -u1 } }\n"
               + "group G = [Id, Rot90, Rot180, Rot270]")
         assert parse_model(c4).get_group("G").order == 4
-        assert calls == [(False, False)] * 9
+        assert calls == [(False, False)] * 3
         calls.clear()
         message = "invalid group 'G': the listed elements are not closed under composition"
         path = tmp_path / "open.jet"
@@ -238,6 +239,40 @@ class TestGroupStatement:
         assert run(["euler", str(path), "u1"]) == 2
         assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
         assert calls == [(False, False)]
+
+    @pytest.mark.parametrize("listing", [
+        "[Id, Rot180, Rot90]",
+        "[Id, Rot90, Rot180, Rot270, Flip]",
+        "[Id, Rot180, Flip]",
+    ])
+    def test_subgroup_plus_stray_element_rejected(self, listing, tmp_path, capsys):
+        text = (self.AUTOS
+                + "auto Rot270 { u1 -> -u2, u2 -> u1 inv { u1 -> u2, u2 -> -u1 } }\n"
+                + "auto Flip { u1 -> u1, u2 -> -u2 inv { u1 -> u1, u2 -> -u2 } }\n"
+                + f"group G = {listing}")
+        message = ("invalid group 'G': the listed elements are not closed under composition"
+                   " (at position 354)")
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+        path = tmp_path / "stray.jet"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert run(["euler", str(path), "u1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_listed_d4_accepted(self):
+        text = (self.AUTOS
+                + "auto Rot270 { u1 -> -u2, u2 -> u1 inv { u1 -> u2, u2 -> -u1 } }\n"
+                + "auto Flip { u1 -> u1, u2 -> -u2 inv { u1 -> u1, u2 -> -u2 } }\n"
+                + "auto FlipA { u1 -> -u1, u2 -> u2 inv { u1 -> -u1, u2 -> u2 } }\n"
+                + "auto Swap { u1 -> u2, u2 -> u1 inv { u1 -> u2, u2 -> u1 } }\n"
+                + "auto SwapA { u1 -> -u2, u2 -> -u1 inv { u1 -> -u2, u2 -> -u1 } }\n"
+                + "group D4 = [Flip, Rot90, Id, Swap, Rot180, FlipA, SwapA, Rot270]")
+        model = parse_model(text)
+        group = model.get_group("D4")
+        generated = FiniteGroupAction.generated_by(model.automorphisms["Rot90"],
+                                                   model.automorphisms["Flip"])
+        assert set(group.elements) == set(generated.elements)
 
 
 class TestSigmaStatement:

@@ -10,7 +10,10 @@ from jetcalc import (
     FiniteGroupAction,
     Generator,
     HorizontalForm,
+    InvalidGroup,
+    JetcalcError,
     MultiIndex,
+    OmegaSpec,
     Poly,
     PreconditionFailed,
     check_canonical_density,
@@ -221,6 +224,57 @@ class TestFiniteGroupAction:
         group = FiniteGroupAction.generated_by(reflection(ctx1))
         assert group.order == 2
 
+    def test_errors_are_typed(self, ctx1, rot90):
+        ident = Automorphism.identity(ctx1)
+        drift = helpers.shear(ctx1, 0, parse_expr("x", ctx1))
+        cases = [
+            (lambda: FiniteGroupAction(()), "a group action needs at least the identity"),
+            (lambda: FiniteGroupAction((ident, ident)), "duplicate group element"),
+            (lambda: FiniteGroupAction((rot90,)), "the identity automorphism must be listed"),
+            (lambda: FiniteGroupAction((ident, rot90)),
+             "the listed elements are not closed under composition"),
+            (lambda: FiniteGroupAction.generated_by(), "at least one generator is required"),
+            (lambda: FiniteGroupAction.generated_by(drift, max_order=8),
+             "group generation exceeded 8 elements"),
+        ]
+        for build, message in cases:
+            with pytest.raises(InvalidGroup, match=f"^{message}$") as err:
+                build()
+            assert isinstance(err.value, JetcalcError)
+            assert isinstance(err.value, ValueError)
+
+    def test_generated_by_keeps_generators(self, ctx1, rot90, monkeypatch):
+        ident = Automorphism.identity(ctx1)
+        calls = []
+        compose = Automorphism.compose
+        monkeypatch.setattr(Automorphism, "compose",
+                            lambda g, h: calls.append((g, h)) or compose(g, h))
+        group = FiniteGroupAction.generated_by(ident, rot90, ident, rot90)
+        assert group._generators == (rot90,)
+        assert calls == [(rot90, g) for g in group.elements[1:]]
+        assert group.elements == FiniteGroupAction.generated_by(rot90).elements
+        assert FiniteGroupAction.generated_by(ident).elements == (ident,)
+        assert FiniteGroupAction.generated_by(ident)._generators == ()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.permutations(range(8)))
+    def test_listed_d4_in_any_order(self, ctx1, rot90, order):
+        d4 = FiniteGroupAction.generated_by(rot90, reflection(ctx1))
+        listed = tuple(d4.elements[k] for k in order)
+        calls = []
+        compose = Automorphism.compose
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Automorphism, "compose",
+                          lambda g, h: calls.append((g, h)) or compose(g, h))
+            group = FiniteGroupAction(listed)
+        generators = group._generators
+        assert generators == tuple(g for g in listed if g in generators)
+        assert not any(g.is_identity for g in generators)
+        # each generator outside the group of the earlier ones at least doubles it
+        assert 1 <= len(generators) <= 3
+        assert len(calls) <= (d4.order - 1) * len(generators)
+        assert set(FiniteGroupAction.generated_by(*generators).elements) == set(listed)
+
 
 def assert_passes_validation(auto):
     checked = Automorphism(auto.ctx, auto.psi, auto.psi_inv)
@@ -342,3 +396,76 @@ class TestInvariantClosure:
         beta = HorizontalForm.density(parse_expr("u2^2", ctx1))
         with pytest.raises(PreconditionFailed):
             check_invariant_closure(alpha, beta, group, omega_std)
+
+
+def oracle_group(rng, ctx, name, listed, conjugated):
+    """C2 (the u2 reflection), C4 (the quarter turn) or D4 (both), either
+    as `generated_by` returns it or listed in a shuffled order, optionally
+    conjugated by a seeded shear."""
+    generators = {"C2": (reflection(ctx),), "C4": (helpers.rot90(ctx),),
+                  "D4": (helpers.rot90(ctx), reflection(ctx))}[name]
+    if conjugated:
+        # h is affine in the fibers: a shear quadratic in u makes the group's
+        # elements quartic, and pulling averaged densities back under them
+        # swells to seconds per example
+        h = helpers.random_shear(rng, ctx, rng.randrange(ctx.m), max_degree=1)
+        generators = tuple(h.compose(g).compose(h.inverse()) for g in generators)
+    group = FiniteGroupAction.generated_by(*generators)
+    if listed:
+        elements = list(group.elements)
+        rng.shuffle(elements)
+        group = FiniteGroupAction(tuple(elements))
+    return group
+
+
+def oracle_density(rng, ctx, group, kind):
+    """A random density, averaged over the group ("group"), over the cyclic
+    subgroup of one random element ("subgroup"), or not at all ("random")."""
+    form = HorizontalForm.density(helpers.random_poly(rng, ctx, max_order=1))
+    if kind == "subgroup":
+        return group_average(form, FiniteGroupAction.generated_by(rng.choice(group.elements)))
+    return group_average(form, group) if kind == "group" else form
+
+
+def closure_outcome(check, *args):
+    try:
+        return check(*args)
+    except PreconditionFailed as exc:
+        return str(exc)
+
+
+GROUP_NAMES = st.sampled_from(("C2", "C4", "D4"))
+DENSITY_KINDS = st.sampled_from(("random", "subgroup", "group"))
+
+
+class TestGeneratorOracle:
+    """The group checks act on generators only; the per-element scan of
+    `helpers` is the reference, verdicts and residuals included."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), GROUP_NAMES, st.booleans(), st.booleans(), DENSITY_KINDS)
+    def test_check_invariance(self, ctx1, seed, name, listed, conjugated, kind):
+        rng = helpers.seeded(seed)
+        group = oracle_group(rng, ctx1, name, listed, conjugated)
+        form = oracle_density(rng, ctx1, group, kind)
+        expected = helpers.reference_check_invariance(form, group)
+        assert check_invariance(form, group) == expected
+        if kind == "group":
+            assert expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), GROUP_NAMES, st.booleans(), st.booleans(),
+           DENSITY_KINDS, DENSITY_KINDS, st.booleans())
+    def test_check_invariant_closure(self, ctx1, omega_std, seed, name, listed, conjugated,
+                                     alpha_kind, beta_kind, scaled_omega):
+        rng = helpers.seeded(seed)
+        group = oracle_group(rng, ctx1, name, listed, conjugated)
+        omega = omega_std
+        if scaled_omega:
+            u1 = parse_expr("u1", ctx1)
+            omega = OmegaSpec(ctx1, tuple(tuple(e * u1 for e in row) for row in omega.entries))
+        alpha = oracle_density(rng, ctx1, group, alpha_kind)
+        beta = oracle_density(rng, ctx1, group, beta_kind)
+        assert (closure_outcome(check_invariant_closure, alpha, beta, group, omega)
+                == closure_outcome(helpers.reference_check_invariant_closure,
+                                   alpha, beta, group, omega))
