@@ -21,17 +21,16 @@ import sys
 from fractions import Fraction
 
 from .dsl import ParseError, render_expr
-from .kernel import CheckReport, UnknownName
+from .kernel import CheckReport, JetcalcError
 from .modelfile import _split_top, _strip, load_model
-from .poisson import EntryNotOrderZero, NonSkew, check_poisson_tensor, jacobiator, l2_density
+from .poisson import check_poisson_tensor, jacobiator, l2_density
 from .shlie import check_shlie_relations, l3
-from .sigma import NotOrthogonal, check_lagrangian_invariance, sigma_euler_check
-from .symmetry import (PreconditionFailed, check_canonical_density,
-                       check_covariance, check_el_transform, check_invariance,
-                       check_invariant_closure, check_pullback_dh_commute,
+from .sigma import check_lagrangian_invariance, sigma_euler_check
+from .symmetry import (check_canonical_density, check_covariance, check_el_transform,
+                       check_invariance, check_invariant_closure, check_pullback_dh_commute,
                        group_average)
-from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
-                      euler, invert_total_derivative, total_derivative)
+from .varcalc import (HorizontalForm, NotExact, d_h, euler, invert_total_derivative,
+                      total_derivative)
 
 
 def _rational_matrix(text: str) -> list[list[Fraction]]:
@@ -180,9 +179,7 @@ def _render(command: str, style: str, passed: bool, results, residuals,
     return "".join(line + "\n" for line in lines)
 
 
-_VALIDATION_ERRORS = (ParseError, UnknownName, NonSkew, EntryNotOrderZero,
-                      NotOrthogonal, DegreeError, Unsupported, PreconditionFailed,
-                      ValueError, OSError)
+_VALIDATION_ERRORS = (JetcalcError, ValueError, OSError)
 
 
 def run(argv: list[str]) -> int:

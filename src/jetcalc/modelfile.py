@@ -38,15 +38,7 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
 def _blank_comments(text: str) -> str:
-    out = []
-    in_comment = False
-    for ch in text:
-        if ch == "#":
-            in_comment = True
-        if ch == "\n":
-            in_comment = False
-        out.append(" " if in_comment else ch)
-    return "".join(out)
+    return re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
 
 
 def _split_top(text: str, offset: int, separators: str) -> list[tuple[str, int]]:

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .dsl import parse_expr
 from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
 from .poisson import NonSkew, OmegaSpec
-from .symmetry import Automorphism
+from .symmetry import Automorphism, pullback
 from .varcalc import euler
 
 _EPS = ((0, 1, 1), (1, 0, -1))
@@ -91,8 +92,6 @@ class SigmaModelSpec:
 
     @classmethod
     def from_strings(cls, n_fields: int, rows: Sequence[Sequence[str]]) -> "SigmaModelSpec":
-        from .dsl import parse_expr
-
         bundle = sigma_bundle(n_fields)
         w = tuple(tuple(parse_expr(text, bundle) for text in row) for row in rows)
         return cls(n_fields, w, bundle)
@@ -253,8 +252,6 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
 def check_lagrangian_invariance(spec: SigmaModelSpec,
                                 matrix: Sequence[Sequence]) -> CheckReport:
     """Is the Lagrangian density fixed by the orthogonal action of M?"""
-    from .symmetry import pullback
-
     auto = orthogonal_action(spec, matrix)
     lagrangian = ikeda_lagrangian(spec)
     return CheckReport(pullback(lagrangian, auto) == lagrangian)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
 from .poisson import OmegaSpec, l2_density
@@ -46,10 +47,10 @@ def _check_fiber_map(ctx: BundleSpec, polys: tuple[Poly, ...], label: str):
 class Automorphism:
     """A fiber map with explicit inverse over the identity base map.
 
-    `Automorphism(ctx, psi, psi_inv)` validates both directions by polynomial
-    composition: psi(psi_inv) and psi_inv(psi) must be the identity on every
-    fiber.  The results of `identity`, `compose` and `inverse` are valid by
-    construction and are not re-checked.
+    `Automorphism(ctx, psi, psi_inv)` validates both directions by pullback:
+    each psi^a pulled back by the inverse, and each psi_inv^a pulled back by
+    the map, must give u^a again.  The results of `identity`, `compose` and
+    `inverse` are valid by construction and are not re-checked.
     """
 
     ctx: BundleSpec
@@ -60,15 +61,14 @@ class Automorphism:
         ctx = self.ctx
         _check_fiber_map(ctx, self.psi, "psi")
         _check_fiber_map(ctx, self.psi_inv, "psi_inv")
-        forward = {Generator.jet(b): self.psi[b] for b in range(ctx.m)}
-        backward = {Generator.jet(b): self.psi_inv[b] for b in range(ctx.m)}
+        object.__setattr__(self, "_prolong_cache", {})
+        inverse = self.inverse()
         for a in range(ctx.m):
             u_a = Poly.generator(ctx, Generator.jet(a))
-            if self.psi[a].substitute(backward) != u_a:
+            if pullback(self.psi[a], inverse) != u_a:
                 raise ValueError(f"psi_inv is not a right inverse on fiber {ctx.fibers[a]}")
-            if self.psi_inv[a].substitute(forward) != u_a:
+            if pullback(self.psi_inv[a], self) != u_a:
                 raise ValueError(f"psi_inv is not a left inverse on fiber {ctx.fibers[a]}")
-        object.__setattr__(self, "_prolong_cache", {})
 
     @classmethod
     def _trusted(cls, ctx: BundleSpec, psi: tuple[Poly, ...],
@@ -95,15 +95,12 @@ class Automorphism:
         return Automorphism._trusted(self.ctx, self.psi_inv, self.psi)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: fibers map through other first, then self."""
+        """self after other: fibers map through other first, then self.  Both
+        directions are pullbacks, as (g after h)^* = h^* g^*."""
         if self.ctx != other.ctx:
             raise ValueError("automorphisms over different charts")
-        ctx = self.ctx
-        through = {Generator.jet(b): other.psi[b] for b in range(ctx.m)}
-        back = {Generator.jet(b): self.psi_inv[b] for b in range(ctx.m)}
-        psi = tuple(p.substitute(through) for p in self.psi)
-        psi_inv = tuple(p.substitute(back) for p in other.psi_inv)
-        return Automorphism._trusted(ctx, psi, psi_inv)
+        return Automorphism._trusted(self.ctx, tuple(pullback(p, other) for p in self.psi),
+                                     tuple(pullback(p, self.inverse()) for p in other.psi_inv))
 
     def prolong(self, a: int, index: MultiIndex) -> Poly:
         """Prolonged jet coordinate: u^a_I composed with the map is D_I(psi^a)."""
@@ -116,7 +113,8 @@ class Automorphism:
 
 
 def pullback(p: Poly, auto: Automorphism) -> Poly:
-    """Compose a polynomial with the prolonged automorphism."""
+    """Compose a polynomial with the prolonged automorphism: the one place a
+    fiber map becomes a substitution, for composition and validation too."""
     if p.ctx != auto.ctx:
         raise ValueError("polynomial over a different chart")
     mapping = {}
@@ -150,7 +148,6 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
     if auto.ctx != ctx:
         raise ValueError("automorphism over a different chart")
     m = ctx.m
-    substitution = {Generator.jet(c): auto.psi[c] for c in range(m)}
     jacobian = [[auto.psi[a].partial(Generator.jet(c)) for c in range(m)] for a in range(m)]
     residuals = []
     for a in range(m):
@@ -159,7 +156,7 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
                                          for c in range(m) if jacobian[a][c]
                                          for d in range(m)
                                          if omega.entry(c, d) and jacobian[b][d]))
-            residual = omega.entry(a, b).substitute(substitution) - transported
+            residual = pullback(omega.entry(a, b), auto) - transported
             if not residual.is_zero:
                 residuals.append((f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]", residual))
     return CheckReport(not residuals, tuple(residuals))
@@ -202,6 +199,23 @@ class InvalidGroup(JetcalcError, ValueError):
     exceeds its bound."""
 
 
+def _closure(reached: list, seen: set, generators: Sequence, old: int) -> Iterator[Automorphism]:
+    """Close `reached` (identity first, mirrored by the set `seen`) under left
+    composition by the generators, breadth first: each x in turn meets each g
+    in order, and g after x (g itself after the identity) is appended when
+    new.  Elements before index `old` are closed under all generators but the
+    newest, so they meet only that one.  Each new element is yielded before
+    it is appended, so the caller rejects it by raising."""
+    newest = generators[-1:]
+    for i, x in enumerate(reached):
+        for g in (generators if i >= old else newest):
+            y = g.compose(x) if i else g
+            if y not in seen:
+                yield y
+                reached.append(y)
+                seen.add(y)
+
+
 @dataclass(frozen=True)
 class FiniteGroupAction:
     """A finite set of automorphisms, closed under composition and inverse.
@@ -213,17 +227,15 @@ class FiniteGroupAction:
     pullback is contravariant and prolongation a homomorphism.
 
     `FiniteGroupAction(elements)` validates its elements: no duplicates, the
-    identity listed, and every composite listed.  It walks the elements in
-    order; each one not yet reached becomes a generator, and the reached set
-    is then closed under left composition by the generators, every composite
-    being looked up among the listed elements.  At the end every element is
-    reached, so the listed set is the group the generators generate.  That
-    costs at most |G| - 1 compositions per generator, none with the
-    identity.  Inverses need no check of their own: for each listed g,
-    h -> g after h is injective on the finite listed set (g is invertible)
-    and stays in it, so it reaches the identity and g's inverse is listed.
-    The group that `generated_by` returns is valid by construction and is
-    not re-checked.  Equality and hashing read `elements` only.
+    identity listed, and every composite listed.  Each element not yet
+    reached, in listing order, becomes a generator, and the closure loop of
+    `generated_by` closes the reached set under it, looking every new
+    composite up among the listed elements; at the end every element is
+    reached.  That costs at most |G| - 1 compositions per generator.
+    Inverses need no check of their own: for each listed g, h -> g after h
+    is injective on the finite listed set and stays in it, so it reaches
+    the identity.  The result of `generated_by` is not re-checked.
+    Equality and hashing read `elements` only.
     """
 
     elements: tuple[Automorphism, ...]
@@ -248,20 +260,9 @@ class FiniteGroupAction:
             if g in seen:
                 continue
             generators.append(g)
-            # The elements reached so far are closed under the earlier
-            # generators: apply the new one to them, and every generator to
-            # the elements they give.  reached[0] is the identity, and g after
-            # the identity is g.
-            old = len(reached)
-            for i, x in enumerate(reached):
-                for h in (generators if i >= old else (g,)):
-                    y = h.compose(x) if i else h
-                    if y in seen:
-                        continue
-                    if y not in members:
-                        raise InvalidGroup("the listed elements are not closed under composition")
-                    reached.append(y)
-                    seen.add(y)
+            for y in _closure(reached, seen, generators, len(reached)):
+                if y not in members:
+                    raise InvalidGroup("the listed elements are not closed under composition")
         object.__setattr__(self, "_generators", tuple(generators))
 
     @property
@@ -276,30 +277,23 @@ class FiniteGroupAction:
     def generated_by(cls, *generators: Automorphism, max_order: int = 512) -> "FiniteGroupAction":
         """Close a generating set under composition (bounded search).
 
-        The elements are listed identity first, then in breadth-first order of
-        discovery: each listed element x, in turn, is composed with every
-        generator g, in the order given, and g after x is appended when new.
-        One generator thus gives id, g, g^2, ...  A finite set of bijections
-        closed under composition holds every inverse (g^k = id for some k),
-        so the result is a group without further checks.  The group keeps
-        the generators, less the identity and repeats, and its checks act on
-        them only: they generate every element, so that is exact.
+        The elements are listed identity first, then in the breadth-first
+        order of the closure loop that also validates listed groups: each
+        element x in turn is composed with every generator g, in the order
+        given, and g after x is appended when new.  One generator gives id,
+        g, g^2, ...  A finite set of bijections closed under composition
+        holds every inverse, so the result is a group without further
+        checks.  The group keeps the generators, less the identity and
+        repeats; they generate every element, so checks on them are exact.
         """
         if not generators:
             raise InvalidGroup("at least one generator is required")
         identity = Automorphism.identity(generators[0].ctx)
         generators = tuple(dict.fromkeys(g for g in generators if g != identity))
         elements = [identity]
-        members = {identity}
-        for x in elements:
-            for g in generators:
-                y = g.compose(x) if x is not identity else g
-                if y in members:
-                    continue
-                elements.append(y)
-                members.add(y)
-                if len(elements) > max_order:
-                    raise InvalidGroup(f"group generation exceeded {max_order} elements")
+        for _ in _closure(elements, {identity}, generators, 0):
+            if len(elements) >= max_order:
+                raise InvalidGroup(f"group generation exceeded {max_order} elements")
         group = object.__new__(cls)
         object.__setattr__(group, "elements", tuple(elements))
         object.__setattr__(group, "_generators", generators)
@@ -322,12 +316,15 @@ def check_invariance(form: HorizontalForm, group: FiniteGroupAction) -> CheckRep
     element of the finite group.  When one of them moves the form, every
     element that moves it is reported at `element[k]`, k its position in
     the group, with each nonzero coefficient of the pullback minus the form.
+    The generators' pullbacks are reused there, so a failing check makes
+    one pullback per element.
     """
-    if all(pullback_form(form, g) == form for g in group._generators):
+    moved_by = {g: pullback_form(form, g) for g in group._generators}
+    if all(moved == form for moved in moved_by.values()):
         return CheckReport(True)
     residuals = []
     for k, g in enumerate(group.elements):
-        moved = pullback_form(form, g)
+        moved = moved_by[g] if g in moved_by else pullback_form(form, g)
         if moved != form:
             residuals.extend((f"element[{k}]", poly) for _, poly in (moved - form).coeffs)
     return CheckReport(not residuals, tuple(residuals))

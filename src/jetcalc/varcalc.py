@@ -252,15 +252,15 @@ def invert_total_derivative(h: Poly) -> Poly:
                 raise NotExact("terminal remainder still depends on fiber coordinates")
             pieces.append(current.antiderivative(Generator.base(0)))
             break
-        for mono, _ in current.items():
-            top_degree = sum(e for g, e in mono.powers if g.is_jet and g.order == k)
-            if top_degree > 1:
-                raise NotExact(f"not affine-linear in jet coordinates of order {k}")
         for a in range(ctx.m):
             top = Generator.jet(a, MultiIndex((0,) * k))
             coeff = current.partial(top)
             if coeff.is_zero:
                 continue
+            # Stripping D(piece) adds only terms affine in order k, so a
+            # non-affine term is still here when its first fiber comes up.
+            if coeff.max_order() == k:
+                raise NotExact(f"not affine-linear in jet coordinates of order {k}")
             piece = coeff.antiderivative(Generator.jet(a, MultiIndex((0,) * (k - 1))))
             pieces.append(piece)
             current = current - total_derivative(piece, 0)

@@ -20,11 +20,13 @@ from jetcalc import (
     HorizontalForm,
     Monomial,
     MultiIndex,
+    NotExact,
     Poly,
     PreconditionFailed,
     check_covariance,
     l2_density,
     pullback_form,
+    total_derivative,
 )
 
 # Rational points on the unit circle, used to build exactly invertible
@@ -205,6 +207,80 @@ def reference_check_invariant_closure(alpha, beta, group, omega):
             raise PreconditionFailed("omega is not covariant under every group element")
     density = l2_density(alpha.density_coefficient(), beta.density_coefficient(), omega)
     return CheckReport(reference_check_invariance(HorizontalForm.density(density), group).passed)
+
+
+def reference_compose(g, h):
+    """g after h by substituting fiber maps directly: psi is g's with every
+    u^b replaced by h's psi^b, psi_inv is h's with every u^b replaced by g's
+    psi_inv^b."""
+    through = {Generator.jet(b): h.psi[b] for b in range(g.ctx.m)}
+    back = {Generator.jet(b): g.psi_inv[b] for b in range(g.ctx.m)}
+    return (tuple(p.substitute(through) for p in g.psi),
+            tuple(p.substitute(back) for p in h.psi_inv))
+
+
+def reference_generated_by(*generators):
+    """The elements of the group the generators generate, identity first,
+    then breadth first: each element x in turn composed with every generator
+    g, in the order given, g after x appended when new."""
+    identity = Automorphism.identity(generators[0].ctx)
+    generators = tuple(dict.fromkeys(g for g in generators if g != identity))
+    elements = [identity]
+    members = {identity}
+    for x in elements:
+        for g in generators:
+            y = g.compose(x) if x is not identity else g
+            if y not in members:
+                elements.append(y)
+                members.add(y)
+    return tuple(elements)
+
+
+def reference_blank_comments(text):
+    """Every character from a `#` up to the end of its line becomes a space;
+    newlines and everything outside comments stay."""
+    out = []
+    in_comment = False
+    for ch in text:
+        if ch == "#":
+            in_comment = True
+        if ch == "\n":
+            in_comment = False
+        out.append(" " if in_comment else ch)
+    return "".join(out)
+
+
+def reference_invert_total_derivative(h):
+    """D_x^{-1} by peeling the top jet order k: first every monomial is
+    tested for degree at most 1 in the order-k coordinates, then the
+    coefficient of each u^a_k is antidifferentiated in u^a_{k-1} and its
+    total derivative stripped."""
+    ctx = h.ctx
+    pieces = []
+    current = h
+    while not current.is_zero:
+        k = current.max_order()
+        if k == 0:
+            if any(g.is_jet for g in current.generators()):
+                raise NotExact("terminal remainder still depends on fiber coordinates")
+            pieces.append(current.antiderivative(Generator.base(0)))
+            break
+        for mono, _ in current.items():
+            top_degree = sum(e for g, e in mono.powers if g.is_jet and g.order == k)
+            if top_degree > 1:
+                raise NotExact(f"not affine-linear in jet coordinates of order {k}")
+        for a in range(ctx.m):
+            top = Generator.jet(a, MultiIndex((0,) * k))
+            coeff = current.partial(top)
+            if coeff.is_zero:
+                continue
+            piece = coeff.antiderivative(Generator.jet(a, MultiIndex((0,) * (k - 1))))
+            pieces.append(piece)
+            current = current - total_derivative(piece, 0)
+        if not current.is_zero and current.max_order() >= k:
+            raise NotExact(f"integrability failure at jet order {k}")
+    result = Poly.sum(ctx, pieces)
+    return result - Poly.const(ctx, result.constant_term())
 
 
 def assert_normal_coefficients(p):

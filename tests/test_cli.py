@@ -7,6 +7,8 @@ import textwrap
 
 import pytest
 
+import jetcalc.cli
+from jetcalc import JetcalcError
 from jetcalc.cli import run
 
 STD_MODEL = textwrap.dedent("""\
@@ -377,6 +379,21 @@ class TestJson:
         payload = json.loads(out)
         assert payload["pass"] is False
         assert "u9" in payload["residuals"][0]["expression"]
+
+    def test_any_library_error_exits_two(self, invoke, models, monkeypatch):
+        class Refused(JetcalcError):
+            pass
+
+        def refuse(*args):
+            raise Refused("refused by the library")
+
+        monkeypatch.setattr(jetcalc.cli, "euler", refuse)
+        assert invoke("euler", models["std"], "P1") == (2, "", "error: refused by the library\n")
+        code, out, err = invoke("--json", "euler", models["std"], "P1")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "command": "euler", "pass": False, "results": [],
+            "residuals": [{"location": "error", "expression": "refused by the library"}]}
 
 
 

@@ -2,6 +2,7 @@
 
 import textwrap
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from jetcalc import (
@@ -17,6 +18,9 @@ from jetcalc import (
     sigma_bundle,
 )
 from jetcalc.cli import run
+from jetcalc.modelfile import _blank_comments
+
+import helpers
 
 
 FULL_MODEL = textwrap.dedent("""\
@@ -82,6 +86,11 @@ class TestStatementSyntax:
         with pytest.raises(UnknownName) as err:
             parse_model(text)
         assert err.value.position == text.index("zz")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="#\n\r[];u1 ", max_size=40))
+    def test_blank_comments_matches_reference(self, text):
+        assert _blank_comments(text) == helpers.reference_blank_comments(text)
 
     def test_expression_error_position(self):
         text = "bundle { base = [x]; fibers = [u1] }\nlet P = u1 + "

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import jetcalc.symmetry
 from jetcalc import (
     Automorphism,
     FiniteGroupAction,
@@ -276,6 +277,36 @@ class TestFiniteGroupAction:
         assert set(FiniteGroupAction.generated_by(*generators).elements) == set(listed)
 
 
+class TestReferenceForms:
+    """Composition and generation against the direct substitution and the
+    breadth-first loop of `helpers`."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_compose(self, ctx1, ctx2, seed, two_directions):
+        rng = helpers.seeded(seed)
+        ctx = ctx2 if two_directions else ctx1
+        g = helpers.random_automorphism(rng, ctx)
+        h = helpers.random_automorphism(rng, ctx)
+        composed = g.compose(h)
+        assert (composed.psi, composed.psi_inv) == helpers.reference_compose(g, h)
+
+    def test_generated_by_order_d4(self, ctx1, rot90):
+        for generators in ((rot90, reflection(ctx1)), (reflection(ctx1), rot90)):
+            group = FiniteGroupAction.generated_by(*generators)
+            assert group.elements == helpers.reference_generated_by(*generators)
+
+    def test_generated_by_order_three_generators(self, ctx3):
+        """Quarter turns in two planes and a reflection: the 48 signed
+        permutations of three fibers."""
+        images = tuple(helpers.fiber_coordinates(ctx3)[:2]) + (parse_expr("-u3", ctx3),)
+        flip = Automorphism(ctx3, images, images)
+        generators = (helpers.rot90(ctx3, 0, 1), helpers.rot90(ctx3, 1, 2), flip)
+        group = FiniteGroupAction.generated_by(*generators)
+        assert group.order == 48
+        assert group.elements == helpers.reference_generated_by(*generators)
+
+
 def assert_passes_validation(auto):
     checked = Automorphism(auto.ctx, auto.psi, auto.psi_inv)
     assert checked == auto
@@ -353,6 +384,18 @@ class TestAveraging:
         for _ in range(25):
             form = HorizontalForm.scalar(helpers.random_poly(rng, ctx1))
             assert group_average(d_h(form), c4) == d_h(group_average(form, c4))
+
+    def test_invariance_pullback_count(self, ctx1, c4, monkeypatch):
+        """The generator's pullback is reused when the element scan runs."""
+        calls = []
+        pullback_form = jetcalc.symmetry.pullback_form
+        monkeypatch.setattr(jetcalc.symmetry, "pullback_form",
+                            lambda form, g: calls.append(g) or pullback_form(form, g))
+        assert not check_invariance(HorizontalForm.density(parse_expr("u1^2", ctx1)), c4)
+        assert len(calls) == c4.order == 4
+        calls.clear()
+        assert check_invariance(HorizontalForm.density(parse_expr("u1^2 + u2^2", ctx1)), c4)
+        assert len(calls) == 1
 
     def test_invariance_check(self, ctx1, c4):
         good = HorizontalForm.scalar(parse_expr("1/2*u1^2 + 1/2*u2^2", ctx1))

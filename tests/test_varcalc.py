@@ -295,6 +295,27 @@ class TestInvertTotalDerivative:
         with pytest.raises(Unsupported):
             invert_total_derivative(parse_expr("u1_x", ctx2))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("exact", "perturbed", "random")))
+    def test_matches_reference_peel(self, ctx1, seed, kind):
+        """Same result, or NotExact with the same message, as the peel that
+        tests every monomial for affine-linearity before stripping."""
+        rng = helpers.seeded(seed)
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        p = helpers.random_poly(rng, ctx1, max_order=2, max_terms=4) * scale
+        h = {"exact": lambda: total_derivative(p, 0),
+             "perturbed": lambda: total_derivative(p, 0) + helpers.random_poly(rng, ctx1),
+             "random": lambda: p}[kind]()
+
+        def outcome(invert):
+            try:
+                return invert(h)
+            except NotExact as exc:
+                return str(exc)
+
+        assert outcome(invert_total_derivative) == \
+            outcome(helpers.reference_invert_total_derivative)
+
 
 class TestHomotopy:
     def test_golden(self, ctx1):
