@@ -363,6 +363,96 @@ def _common_den(terms: dict[Monomial, int], den: int, other: int) -> tuple[int, 
     return common, common // other
 
 
+# Packed exponents (Monagan and Pearce, CASC 2007): a monomial over a sorted
+# tuple of generators is one integer, generator i holding its exponent in
+# bits [i*w, (i+1)*w).  When no monomial of a computation, intermediate or
+# final, has degree above `bound` < 2^w, no slot carries: multiplying two
+# monomials is adding their keys, and distinct keys are distinct monomials.
+
+
+def _profile(terms: Iterable[Monomial]) -> tuple[set[Generator], int]:
+    """The generators and the total degree of a term map, in one pass."""
+    gens: set[Generator] = set()
+    degree = 0
+    for mono in terms:
+        d = 0
+        for g, e in mono.powers:
+            gens.add(g)
+            d += e
+        if d > degree:
+            degree = d
+    return gens, degree
+
+
+def _layout(gens: Iterable[Generator],
+            bound: int) -> tuple[tuple[Generator, ...], dict[Generator, int], int]:
+    """The generators in canonical order, the bit offset of each one's slot,
+    and the slot width w, the least with every degree up to `bound` below
+    2^w."""
+    order = tuple(sorted(gens))
+    width = bound.bit_length()
+    return order, {g: i * width for i, g in enumerate(order)}, width
+
+
+def _pack(terms: dict[Monomial, int], shift: dict[Generator, int]) -> dict[int, int]:
+    """The term map with each monomial replaced by its packed key."""
+    packed = {}
+    for mono, c in terms.items():
+        key = 0
+        for g, e in mono.powers:
+            key += e << shift[g]
+        packed[key] = c
+    return packed
+
+
+def _unpack(ctx: BundleSpec, packed: dict[int, int], order: tuple[Generator, ...],
+            width: int, den: int) -> "Poly":
+    """The polynomial of the packed numerators over `den`, reduced once;
+    zero numerators are dropped.  Slots are read from the lowest, so each
+    power tuple comes out sorted."""
+    mask = (1 << width) - 1
+    terms: dict[Monomial, int] = {}
+    for key, c in packed.items():
+        if not c:
+            continue
+        powers = []
+        for g in order:
+            if not key:
+                break
+            e = key & mask
+            if e:
+                powers.append((g, e))
+            key >>= width
+        terms[Monomial._canonical(tuple(powers))] = c
+    return Poly._reduced(ctx, terms, den)
+
+
+def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two packed numerator maps, without zero terms."""
+    out: dict[int, int] = {}
+    get = out.get
+    pairs = tuple(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in pairs:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _ppow(a: dict[int, int], exponent: int) -> dict[int, int]:
+    """a ** exponent, for exponent >= 1, by binary powering.  Squares stop at
+    the top bit of the exponent, so no factor has higher degree than the
+    result."""
+    out = None
+    while True:
+        if exponent & 1:
+            out = a if out is None else _pmul(out, a)
+        exponent >>= 1
+        if not exponent:
+            return out
+        a = _pmul(a, a)
+
+
 class Poly:
     """Canonical sparse polynomial over the generators of one bundle chart.
 
@@ -530,6 +620,12 @@ class Poly:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "Poly":
+        """The product, by merging the sorted factor tuples of each term pair
+        (`Monomial.times`).  `substitute` and `**` multiply in packed
+        exponents instead; a single product here is mostly small (1 to 32
+        term pairs in the `jacobi` benchmark), so a per-call packing layout
+        costs more than it saves: packed, that benchmark ran 162 tasks/s
+        against 187 merged (medians of six runs)."""
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -548,17 +644,18 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
+        """Binary powering in packed exponents, with slots wide enough for
+        degree exponent * total_degree.  The numerators are those of the
+        power over `_den ** exponent`, which `_reduced` brings to lowest
+        terms."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = one = Poly.const(self.ctx, 1)
-        square = self
-        while exponent:
-            if exponent & 1:
-                out = square if out is one else out * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return out
+        if not exponent:
+            return Poly.const(self.ctx, 1)
+        gens, degree = _profile(self._terms)
+        order, shift, width = _layout(gens, exponent * degree)
+        return _unpack(self.ctx, _ppow(_pack(self._terms, shift), exponent), order, width,
+                       self._den ** exponent)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -620,40 +717,70 @@ class Poly:
 
         Generators absent from the mapping are left fixed.  The substitution
         is simultaneous: replacement polynomials are never re-substituted.
-        The per-term products accumulate in one integer map over the least
-        common denominator of the replaced factors so far, as in `sum`.
+
+        The expansion runs in packed exponents.  The layout holds the fixed
+        generators and those of every replacement in use, with slots wide
+        enough for the largest degree a term can reach, the sum of e *
+        deg(replacement) and of its fixed exponents; every power and partial
+        product of a term has at most that degree, so the packing is exact.
+        Each replacement is packed once and each power g^e computed once per
+        call.  The per-term products accumulate in one integer map over the
+        least common denominator of the replaced factors so far, as in `sum`,
+        and each distinct output monomial is unpacked once at the end.
         """
+        ctx = self.ctx
         for g, q in mapping.items():
-            if not g.declared_in(self.ctx):
+            if not g.declared_in(ctx):
                 raise UnknownName(repr(g))
-            if q.ctx != self.ctx:
+            if q.ctx != ctx:
                 raise ValueError("replacement polynomial over a different chart")
-        power_cache: dict[tuple[Generator, int], Poly] = {}
-        one = Poly.const(self.ctx, 1)
-        terms: dict[Monomial, int] = {}
-        den = 1
-        for mono, c in self._terms.items():
-            fixed = []
-            replaced = one
+        profiles: dict[Generator, tuple[set[Generator], int]] = {}
+        gens: set[Generator] = set()
+        bound = 0
+        for mono in self._terms:
+            degree = 0
             for g, e in mono.powers:
                 rep = mapping.get(g)
                 if rep is None:
-                    fixed.append((g, e))
+                    gens.add(g)
+                    degree += e
                     continue
-                key = (g, e)
-                powered = power_cache.get(key)
+                profile = profiles.get(g)
+                if profile is None:
+                    profile = profiles[g] = _profile(rep._terms)
+                    gens |= profile[0]
+                degree += e * profile[1]
+            if degree > bound:
+                bound = degree
+        order, shift, width = _layout(gens, bound)
+        packed = {g: (_pack(mapping[g]._terms, shift), mapping[g]._den) for g in profiles}
+        powers: dict[tuple[Generator, int], tuple[dict[int, int], int]] = {}
+        terms: dict[int, int] = {}
+        get = terms.get
+        den = 1
+        for mono, c in self._terms.items():
+            head = 0
+            replaced = None
+            replaced_den = 1
+            for g, e in mono.powers:
+                rep = packed.get(g)
+                if rep is None:
+                    head += e << shift[g]
+                    continue
+                powered = powers.get((g, e))
                 if powered is None:
-                    powered = rep ** e
-                    power_cache[key] = powered
-                replaced = powered if replaced is one else replaced * powered
-            # A subsequence of a canonical power tuple is canonical.
-            head = Monomial._canonical(tuple(fixed))
-            if replaced._den != den:
-                den, scale = _common_den(terms, den, replaced._den)
+                    powered = powers[g, e] = (_ppow(rep[0], e), rep[1] ** e)
+                replaced = powered[0] if replaced is None else _pmul(replaced, powered[0])
+                replaced_den *= powered[1]
+            if replaced is None:
+                replaced = {0: 1}
+            if replaced_den != den:
+                den, scale = _common_den(terms, den, replaced_den)
                 c *= scale
-            for m, k in replaced._terms.items():
-                _accumulate(terms, head.times(m), c * k)
-        return Poly._reduced(self.ctx, terms, self._den * den)
+            for k, v in replaced.items():
+                k += head
+                terms[k] = get(k, 0) + c * v
+        return _unpack(ctx, terms, order, width, self._den * den)
 
     def __str__(self) -> str:
         from .dsl import render_expr

@@ -17,6 +17,7 @@ group projects onto invariant forms.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -50,7 +51,10 @@ class Automorphism:
     `Automorphism(ctx, psi, psi_inv)` validates both directions by pullback:
     each psi^a pulled back by the inverse, and each psi_inv^a pulled back by
     the map, must give u^a again.  The results of `identity`, `compose` and
-    `inverse` are valid by construction and are not re-checked.
+    `inverse` are valid by construction and are not re-checked.  `inverse`
+    is built once and, while this automorphism lives, its own inverse is
+    this automorphism, so both keep their prolongation caches across calls;
+    equality and hashing read the three fields only.
     """
 
     ctx: BundleSpec
@@ -62,6 +66,7 @@ class Automorphism:
         _check_fiber_map(ctx, self.psi, "psi")
         _check_fiber_map(ctx, self.psi_inv, "psi_inv")
         object.__setattr__(self, "_prolong_cache", {})
+        object.__setattr__(self, "_inverse", None)
         inverse = self.inverse()
         for a in range(ctx.m):
             u_a = Poly.generator(ctx, Generator.jet(a))
@@ -80,6 +85,7 @@ class Automorphism:
         object.__setattr__(auto, "psi", psi)
         object.__setattr__(auto, "psi_inv", psi_inv)
         object.__setattr__(auto, "_prolong_cache", {})
+        object.__setattr__(auto, "_inverse", None)
         return auto
 
     @classmethod
@@ -92,7 +98,17 @@ class Automorphism:
         return self == Automorphism.identity(self.ctx)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism._trusted(self.ctx, self.psi_inv, self.psi)
+        inverse = self._inverse
+        if isinstance(inverse, weakref.ref):
+            inverse = inverse()
+        if inverse is None:
+            inverse = Automorphism._trusted(self.ctx, self.psi_inv, self.psi)
+            # The way back is weak: a pair that held each other would be
+            # freed only by the cycle collector, which then ran 5 times as
+            # often on the `models` benchmark.
+            object.__setattr__(inverse, "_inverse", weakref.ref(self))
+            object.__setattr__(self, "_inverse", inverse)
+        return inverse
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: fibers map through other first, then self.  Both
@@ -130,8 +146,15 @@ def pullback_form(form: HorizontalForm, auto: Automorphism) -> HorizontalForm:
 
 
 def check_pullback_dh_commute(form: HorizontalForm, auto: Automorphism) -> CheckReport:
-    """Does pullback of this form commute with the horizontal differential?"""
-    return CheckReport(pullback_form(d_h(form), auto) == d_h(pullback_form(form, auto)))
+    """Does pullback of this form commute with the horizontal differential?
+
+    Each nonzero coefficient of pullback(d_h form) - d_h(pullback form) is
+    reported at its dx-word, such as `dx` or `dx^dy`.
+    """
+    defect = pullback_form(d_h(form), auto) - d_h(pullback_form(form, auto))
+    dims = form.ctx.base_dims
+    residuals = tuple(("^".join(f"d{dims[i]}" for i in idx), poly) for idx, poly in defect.coeffs)
+    return CheckReport(not residuals, residuals)
 
 
 def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
@@ -180,18 +203,21 @@ def check_canonical_density(omega: OmegaSpec, auto: Automorphism, p: Poly,
 def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
     """Do Euler components transform with the Jacobian of the fiber map?
 
-    Checks E_a(pullback p) = sum_c dpsi^c/du^a * pullback(E_c(p)) for every a.
+    Checks E_a(pullback p) = sum_c dpsi^c/du^a * pullback(E_c(p)) for every a;
+    each failing component is reported at `E[fiber]` with lhs - rhs.
     """
     ctx = auto.ctx
     lhs = euler(pullback(p, auto))
     moved_parts = [pullback(part, auto) for part in euler(p)]
+    residuals = []
     for a in range(ctx.m):
         factors = (psi_c.partial(Generator.jet(a)) for psi_c in auto.psi)
         rhs = Poly.sum(ctx, (factor * moved for factor, moved in zip(factors, moved_parts)
                              if factor and moved))
-        if lhs[a] != rhs:
-            return CheckReport(False)
-    return CheckReport(True)
+        residual = lhs[a] - rhs
+        if not residual.is_zero:
+            residuals.append((f"E[{ctx.fibers[a]}]", residual))
+    return CheckReport(not residuals, tuple(residuals))
 
 
 class InvalidGroup(JetcalcError, ValueError):
@@ -338,7 +364,9 @@ def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,
     invariant top-degree forms and omega is covariant under every element.
     Covariance is checked on the group's generators: by the chain rule, a
     structure covariant under g and under h is covariant under g after h,
-    and the generators generate every element.
+    and the generators generate every element.  The report is that of
+    `check_invariance` on the bracket density, with its `element[k]`
+    residuals.
     """
     ctx = omega.ctx
     if alpha.degree != ctx.n or beta.degree != ctx.n:
@@ -351,4 +379,4 @@ def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,
         if not check_covariance(omega, g).passed:
             raise PreconditionFailed("omega is not covariant under every group element")
     density = l2_density(alpha.density_coefficient(), beta.density_coefficient(), omega)
-    return CheckReport(check_invariance(HorizontalForm.density(density), group).passed)
+    return check_invariance(HorizontalForm.density(density), group)

@@ -12,6 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
+from jetcalc import kernel
 from jetcalc import (
     Automorphism,
     BundleSpec,
@@ -23,6 +24,7 @@ from jetcalc import (
     NotExact,
     Poly,
     PreconditionFailed,
+    UnknownName,
     check_covariance,
     l2_density,
     pullback_form,
@@ -206,7 +208,7 @@ def reference_check_invariant_closure(alpha, beta, group, omega):
         if not check_covariance(omega, g):
             raise PreconditionFailed("omega is not covariant under every group element")
     density = l2_density(alpha.density_coefficient(), beta.density_coefficient(), omega)
-    return CheckReport(reference_check_invariance(HorizontalForm.density(density), group).passed)
+    return reference_check_invariance(HorizontalForm.density(density), group)
 
 
 def reference_compose(g, h):
@@ -281,6 +283,67 @@ def reference_invert_total_derivative(h):
             raise NotExact(f"integrability failure at jet order {k}")
     result = Poly.sum(ctx, pieces)
     return result - Poly.const(ctx, result.constant_term())
+
+
+def reference_pow(p, exponent):
+    """p ** exponent by binary powering over merge products (`Poly.__mul__`),
+    as `**` computed before packed exponents."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    out = one = Poly.const(p.ctx, 1)
+    square = p
+    while exponent:
+        if exponent & 1:
+            out = square if out is one else out * square
+        exponent >>= 1
+        if exponent:
+            square = square * square
+    return out
+
+
+def reference_substitute(p, mapping):
+    """`Poly.substitute` by per-pair monomial merges: each term's replaced
+    factors are multiplied as polynomials, the fixed factors merged into
+    every product monomial with `Monomial.times`, and the products
+    accumulated over the least common denominator of the factors so far."""
+    ctx = p.ctx
+    for g, q in mapping.items():
+        if not g.declared_in(ctx):
+            raise UnknownName(repr(g))
+        if q.ctx != ctx:
+            raise ValueError("replacement polynomial over a different chart")
+    power_cache = {}
+    one = Poly.const(ctx, 1)
+    terms = {}
+    den = 1
+    for mono, c in p._terms.items():
+        fixed = []
+        replaced = one
+        for g, e in mono.powers:
+            rep = mapping.get(g)
+            if rep is None:
+                fixed.append((g, e))
+                continue
+            powered = power_cache.get((g, e))
+            if powered is None:
+                powered = power_cache[g, e] = reference_pow(rep, e)
+            replaced = powered if replaced is one else replaced * powered
+        head = Monomial._canonical(tuple(fixed))
+        if replaced._den != den:
+            den, scale = kernel._common_den(terms, den, replaced._den)
+            c *= scale
+        for m, k in replaced._terms.items():
+            kernel._accumulate(terms, head.times(m), c * k)
+    return Poly._reduced(ctx, terms, p._den * den)
+
+
+def assert_canonical(p):
+    """`assert_normal_coefficients`, and every power tuple of p is the one
+    the validating `Monomial` constructor builds: sorted, merged, no zero
+    exponent."""
+    assert_normal_coefficients(p)
+    for mono, _ in p.items():
+        assert mono.powers == Monomial(mono.powers).powers
 
 
 def assert_normal_coefficients(p):

@@ -8,7 +8,8 @@ import textwrap
 import pytest
 
 import jetcalc.cli
-from jetcalc import JetcalcError
+import jetcalc.symmetry
+from jetcalc import Generator, HorizontalForm, JetcalcError, Poly
 from jetcalc.cli import run
 
 STD_MODEL = textwrap.dedent("""\
@@ -299,6 +300,31 @@ class TestChecks:
     def test_commute(self, invoke, models):
         code, out, _ = invoke("check", "commute", models["std"], "Rot270", "P1")
         assert (code, out) == (0, "pass\n")
+
+    # These checks pass on every valid automorphism (they are theorems), so
+    # each failure is provoked by breaking one operator the check relies on.
+    @pytest.mark.parametrize("argv, name, broken, residuals", [
+        (("el-transform", "Rot90", "P3"), "euler",
+         lambda euler: lambda p: euler(p)[::-1], [("E[u1]", "4*u2")]),
+        (("commute", "Rot270", "P1"), "d_h",
+         lambda d_h: lambda form: d_h(form) + HorizontalForm(
+             form.ctx, form.degree + 1, {(0,): Poly.generator(form.ctx, Generator.jet(0))}),
+         [("dx", "-u1 - u2")]),
+        (("closure", "C4", "H1", "H2"), "l2_density",
+         lambda l2: lambda p, q, omega: l2(p, q, omega) + Poly.generator(p.ctx, Generator.jet(0)) ** 2,
+         [("element[1]", "-u1^2 + u2^2"), ("element[3]", "-u1^2 + u2^2")]),
+    ])
+    def test_failure_residuals(self, invoke, models, monkeypatch, argv, name, broken, residuals):
+        monkeypatch.setattr(jetcalc.symmetry, name, broken(getattr(jetcalc.symmetry, name)))
+        kind, auto, *densities = argv
+        argv = ("check", kind, models["std"], auto, *densities)
+        text = "fail\n" + "".join(f"{loc}: {e}\n" for loc, e in residuals)
+        assert invoke(*argv) == (1, text, "")
+        code, out, _ = invoke("--json", *argv)
+        assert code == 1
+        assert json.loads(out) == {
+            "command": f"check {kind}", "pass": False, "results": [],
+            "residuals": [{"location": loc, "expression": e} for loc, e in residuals]}
 
     def test_sigma_euler(self, invoke, models):
         code, out, _ = invoke("check", "sigma-euler", models["sigma"])

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jetcalc import kernel
 from jetcalc import (
     Automorphism,
     BundleSpec,
@@ -409,6 +411,133 @@ class TestPolyQueries:
                 start=Fraction(0),
             )
             assert value == Poly.const(ctx1, expected)
+
+
+PACKED_CTX = BundleSpec(("x", "y"), ("u1", "u2"), ("k",))
+PACKED_POOL = helpers.generator_pool(PACKED_CTX, 2, include_params=True)
+
+
+def packed_polys(max_terms):
+    monomials = st.lists(st.tuples(st.sampled_from(PACKED_POOL), st.integers(1, 3)),
+                         max_size=4).map(Monomial)
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    return st.lists(st.tuples(monomials, coefficients), max_size=max_terms).map(
+        lambda items: Poly.from_terms(PACKED_CTX, items))
+
+
+class TestPackedExponents:
+    """`substitute` and `**` expand in packed exponents; the merge-product
+    forms kept in `helpers` are the reference, and results must also be
+    canonical."""
+
+    CTX = PACKED_CTX
+    X, U1, U2, K = Generator.base(0), Generator.jet(0), Generator.jet(1), Generator.param(0)
+
+    def gen(self, g):
+        return Poly.generator(self.CTX, g)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(packed_polys(4), st.dictionaries(st.sampled_from(PACKED_POOL), packed_polys(3),
+                                            max_size=3))
+    def test_substitute_matches_reference(self, p, mapping):
+        result = p.substitute(mapping)
+        helpers.assert_canonical(result)
+        assert result == helpers.reference_substitute(p, mapping)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(packed_polys(3), st.integers(0, 10))
+    def test_power_matches_reference(self, p, n):
+        result = p ** n
+        helpers.assert_canonical(result)
+        assert result == helpers.reference_pow(p, n)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_degree_bound_at_slot_edge(self, n):
+        """A degree bound of 2^w - 1 fills a slot of width w; 2^w needs one
+        bit more.  Every case puts the bound in the top and in a lower slot."""
+        assert kernel._layout((), n)[2] == n.bit_length()
+        x, u1, u2, k = map(self.gen, (self.X, self.U1, self.U2, self.K))
+        for p in (x + u1 + u2 + k, x - 2 * u2, Fraction(1, 3) * u1 * u2 + k):
+            result = p ** n
+            helpers.assert_canonical(result)
+            assert result == helpers.reference_pow(p, n)
+        # the fixed degree and the replaced degree together reach n
+        head = x ** (n // 2) * k
+        for rep in (u2 + x, u1 - k, Fraction(1, 2) * u2 * u2):
+            p = head * u1 ** (n - n // 2 - 1) + u2 * x
+            result = p.substitute({self.U1: rep})
+            helpers.assert_canonical(result)
+            assert result == helpers.reference_substitute(p, {self.U1: rep})
+
+    def test_huge_exponent(self):
+        x, u1, u2 = map(self.gen, (self.X, self.U1, self.U2))
+        big = 2 ** 20
+        power = Poly.from_terms(self.CTX, [(Monomial([(self.U1, big)]), 1)])
+        assert u1 ** big == power
+        assert (-u1) ** big == power
+        assert (u1 * x) ** big == Poly.from_terms(
+            self.CTX, [(Monomial([(self.X, big), (self.U1, big)]), 1)])
+        assert power.substitute({self.U1: -u2}) == u2 ** big
+        assert u1.substitute({self.U1: u2 ** big}) == u2 ** big
+        assert (power * x).substitute({self.U1: u2, self.U2: u1}) == u2 ** big * x
+
+    def test_zero_and_constant_replacements(self):
+        x, u1, u2 = map(self.gen, (self.X, self.U1, self.U2))
+        p = u1 ** 2 * u2 + x * u1 + 3
+        assert p.substitute({self.U1: Poly.zero(self.CTX)}) == 3
+        assert p.substitute({self.U1: Poly.const(self.CTX, Fraction(1, 2))}) == (
+            Fraction(1, 4) * u2 + Fraction(1, 2) * x + 3)
+        assert p.substitute({self.U1: Poly.zero(self.CTX), self.U2: u1}) == 3
+        assert Poly.zero(self.CTX).substitute({self.U1: u2}) == 0
+        assert Poly.zero(self.CTX) ** 0 == 1
+        assert Poly.zero(self.CTX) ** 5 == 0
+        assert Poly.const(self.CTX, Fraction(-2, 3)) ** 3 == Fraction(-8, 27)
+
+    def test_swap_is_simultaneous(self):
+        u1, u2 = self.gen(self.U1), self.gen(self.U2)
+        p = u1 ** 3 * u2 + 2 * u1 - u2 ** 2
+        swapped = p.substitute({self.U1: u2, self.U2: u1})
+        assert swapped == u2 ** 3 * u1 + 2 * u2 - u1 ** 2
+        assert swapped.substitute({self.U1: u2, self.U2: u1}) == p
+        rotated = p.substitute({self.U1: u1 + u2, self.U2: u1 - u2})
+        assert rotated == (u1 + u2) ** 3 * (u1 - u2) + 2 * (u1 + u2) - (u1 - u2) ** 2
+
+    def test_parameters_and_base_coordinates_stay_fixed(self):
+        x, u1, u2, k = map(self.gen, (self.X, self.U1, self.U2, self.K))
+        u1_x = self.gen(Generator.jet(0, MultiIndex((0,))))
+        p = k * x * u1 ** 2 * u1_x + k ** 2
+        result = p.substitute({self.U1: x * u2 + k})
+        assert result == k * x * (x * u2 + k) ** 2 * u1_x + k ** 2
+        assert str(result) == "x^3*u1_x*u2^2*k + 2*x^2*u1_x*u2*k^2 + x*u1_x*k^3 + k^2"
+
+    def test_errors(self, ctx2):
+        u1 = self.gen(self.U1)
+        for exponent in (-1, Fraction(1, 2), 1.0):
+            with pytest.raises(ValueError, match="^exponent must be a non-negative integer$"):
+                u1 ** exponent
+        with pytest.raises(UnknownName, match=r"^unknown name 'Jet\(5\)'$"):
+            u1.substitute({Generator.jet(5): u1})
+        with pytest.raises(ValueError, match="^replacement polynomial over a different chart$"):
+            u1.substitute({self.U1: Poly.const(ctx2, 1)})
+
+    def test_no_merge_products(self, monkeypatch):
+        """`substitute` and `**` multiply packed keys; only `p * q` merges."""
+        u1, u2, x = self.gen(self.U1), self.gen(self.U2), self.gen(self.X)
+        p = (u1 + u2 + x) ** 2 * u2 + Fraction(1, 3) * u1 * x
+        mapping = {self.U1: u1 + Fraction(3, 5) * u2, self.U2: u1 * u2 - x}
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(Monomial, "times", counted("times", Monomial.times))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Poly, name, counted("mul", getattr(Poly, name)))
+        p.substitute(mapping)
+        p ** 4
+        assert calls == []
+        p * u2
+        assert calls.count("mul") == 1 and calls.count("times") == len(p.sorted_terms())
 
 
 class TestCheckReport:

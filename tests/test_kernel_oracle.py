@@ -57,9 +57,7 @@ def to_sympy(p: Poly):
 
 def assert_agrees(p: Poly, expected):
     """p is canonical and equals the sympy expression `expected`."""
-    helpers.assert_normal_coefficients(p)
-    for mono, _ in p.items():
-        assert mono.powers == Monomial(mono.powers).powers
+    helpers.assert_canonical(p)
     assert sympy.expand(to_sympy(p) - expected) == 0
 
 

@@ -1,6 +1,8 @@
 """Automorphisms, pullbacks, covariance, averaging and invariance checks."""
 
 from fractions import Fraction
+import gc
+import weakref
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import jetcalc.symmetry
 from jetcalc import (
     Automorphism,
+    CheckReport,
     FiniteGroupAction,
     Generator,
     HorizontalForm,
@@ -82,6 +85,44 @@ class TestAutomorphism:
         assert rot90.compose(shift).psi[0] == parse_expr("u2", ctx1)
         assert after.compose(after.inverse()).is_identity
 
+    def test_inverse_is_built_once(self, ctx1):
+        shift = helpers.shear(ctx1, 0, parse_expr("x*u2^2", ctx1))
+        inverse = shift.inverse()
+        assert inverse is shift.inverse()
+        assert inverse.inverse() is shift
+        twice = shift.compose(shift)
+        assert twice.inverse().inverse() is twice
+        # equality and hashing still read the fields only
+        rebuilt = Automorphism(ctx1, shift.psi_inv, shift.psi)
+        assert inverse == rebuilt and hash(inverse) == hash(rebuilt)
+        assert rebuilt.inverse() == shift and rebuilt.inverse() is not shift
+
+    def test_inverse_pair_is_no_reference_cycle(self, ctx1):
+        shift = helpers.shear(ctx1, 0, parse_expr("x*u2^2", ctx1))
+        inverse = shift.inverse()
+        psi = shift.psi
+        alive = weakref.ref(shift)
+        gc.disable()
+        try:
+            del shift
+            assert alive() is None  # freed by reference counting alone
+        finally:
+            gc.enable()
+        again = inverse.inverse()
+        assert again.psi == psi and again.inverse() is inverse
+
+    def test_compose_reuses_the_inverse_prolongations(self, ctx1, rot90, monkeypatch):
+        misses = []
+        original = jetcalc.symmetry.iterated_total_derivative
+        monkeypatch.setattr(jetcalc.symmetry, "iterated_total_derivative",
+                            lambda p, index: misses.append(index) or original(p, index))
+        shift = helpers.shear(ctx1, 0, parse_expr("x*u2^2", ctx1))
+        first = shift.compose(rot90)
+        assert misses
+        misses.clear()
+        assert shift.compose(rot90) == first
+        assert misses == []
+
     def test_prolong_golden(self, ctx1, rot90):
         assert rot90.prolong(0, MultiIndex((0,))) == parse_expr("u2_x", ctx1)
         bent = helpers.shear(ctx1, 0, parse_expr("x^2", ctx1))
@@ -135,6 +176,18 @@ class TestPullback:
         bent = helpers.shear(ctx1, 0, parse_expr("x^2", ctx1))
         form = HorizontalForm.scalar(parse_expr("u1^2", ctx1))
         assert check_pullback_dh_commute(form, bent)
+
+    def test_broken_prolongation_reports_residuals(self, ctx1, ctx2, monkeypatch):
+        """A prolongation off by one on every derived jet breaks both
+        chain-rule checks; each names the failing component."""
+        original = jetcalc.symmetry.iterated_total_derivative
+        monkeypatch.setattr(jetcalc.symmetry, "iterated_total_derivative",
+                            lambda p, index: original(p, index) + (1 if index else 0))
+        form = HorizontalForm(ctx2, 1, {(0,): parse_expr("u1", ctx2)})
+        report = check_pullback_dh_commute(form, helpers.rot90(ctx2))
+        assert report == CheckReport(False, (("dx^dy", Poly.const(ctx2, -1)),))
+        report = check_el_transform(helpers.rot90(ctx1), parse_expr("1/2*u1_x^2", ctx1))
+        assert report == CheckReport(False, (("E[u2]", Poly.const(ctx1, 1)),))
 
 
 class TestCovariance:
