@@ -593,10 +593,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
 
-    def _check_ctx(self, other: "Poly"):
-        if self.ctx != other.ctx:
-            raise ValueError("polynomials over different bundle charts")
-
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
@@ -634,7 +630,8 @@ class Poly:
                 return Poly.zero(self.ctx)
             return Poly._reduced(self.ctx, {m: k * c for m, k in self._terms.items()},
                                  self._den * den)
-        self._check_ctx(other)
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ValueError("polynomials over different bundle charts")
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -797,12 +794,20 @@ class CheckReport:
 
     `residuals` pairs each failing location with its exact residual, and
     `results` pairs names with verdict words.  A report is true when the
-    check passed.
+    check passed.  A check passes iff it reports no nonzero residual: checks
+    list their (location, residual) pairs and build the report with `of`.
     """
 
     passed: bool
     residuals: tuple[tuple[str, Poly], ...] = ()
     results: tuple[tuple[str, str], ...] = ()
+
+    @classmethod
+    def of(cls, residuals: Iterable[tuple[str, Poly]],
+           results: tuple[tuple[str, str], ...] = ()) -> "CheckReport":
+        """Keep the nonzero residuals, in order; the check passed iff none is."""
+        kept = tuple((where, residual) for where, residual in residuals if residual)
+        return cls(not kept, kept, results)
 
     def __bool__(self) -> bool:
         return self.passed

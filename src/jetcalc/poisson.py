@@ -21,6 +21,7 @@ divergence, which is the exactness that the sh-Lie correction l3 inverts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .kernel import BundleSpec, CheckReport, JetcalcError, Poly
 from .varcalc import euler, is_divergence
@@ -86,16 +87,9 @@ def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
     vanishes identically on repeated indices, so the strictly increasing
     triples decide the condition.
     """
-    ctx = omega.ctx
-    residuals = []
-    for a in range(ctx.m):
-        for b in range(a + 1, ctx.m):
-            for c in range(b + 1, ctx.m):
-                residual = cyclic_sum(omega, a, b, c)
-                if not residual.is_zero:
-                    residuals.append((f"({ctx.fibers[a]},{ctx.fibers[b]},{ctx.fibers[c]})",
-                                      residual))
-    return CheckReport(not residuals, tuple(residuals))
+    fibers = omega.ctx.fibers
+    return CheckReport.of((f"({fibers[a]},{fibers[b]},{fibers[c]})", cyclic_sum(omega, a, b, c))
+                          for a, b, c in combinations(range(omega.ctx.m), 3))
 
 
 def _pairing(ep: tuple[Poly, ...], eq: tuple[Poly, ...], omega: OmegaSpec) -> Poly:

@@ -105,12 +105,9 @@ def check_shlie_relations(omega: OmegaSpec,
     for k, (f, g) in enumerate(pairs):
         form = g if isinstance(g, HorizontalForm) else HorizontalForm.scalar(g)
         residual = l2(GradedElement.density(f), l1(GradedElement(1, form)), omega)
-        if not residual.is_zero:
-            residuals.append((f"pair[{k}]", residual.form.density_coefficient()))
+        residuals.append((f"pair[{k}]", residual.form.density_coefficient()))
     for k, (p, q, r) in enumerate(triples):
         jac = jacobiator(p, q, r, omega)
         correction = d_h(homotopy_s(HorizontalForm.density(jac))).density_coefficient()
-        residual = jac + correction
-        if not residual.is_zero:
-            residuals.append((f"triple[{k}]", residual))
-    return CheckReport(not residuals, tuple(residuals))
+        residuals.append((f"triple[{k}]", jac + correction))
+    return CheckReport.of(residuals)

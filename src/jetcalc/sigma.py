@@ -202,8 +202,7 @@ def sigma_euler_check(spec: SigmaModelSpec) -> CheckReport:
         ("u_block_vs_half_curvature", "mismatch" if u_residuals else "exact"),
         ("u_block_vs_displayed_curvature", "match" if displayed_all else "factor 2 off"),
     )
-    residuals = tuple(w_residuals + u_residuals)
-    return CheckReport(not residuals, residuals, results)
+    return CheckReport.of(w_residuals + u_residuals, results)
 
 
 def _as_rational_matrix(matrix: Sequence[Sequence], size: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -251,7 +250,12 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
 
 def check_lagrangian_invariance(spec: SigmaModelSpec,
                                 matrix: Sequence[Sequence]) -> CheckReport:
-    """Is the Lagrangian density fixed by the orthogonal action of M?"""
+    """Is the Lagrangian density fixed by the orthogonal action of M?
+
+    The one check with a bare verdict and no residuals: its failing output is
+    in the `models` benchmark's golden digest, which only a benchmark change
+    may alter.
+    """
     auto = orthogonal_action(spec, matrix)
     lagrangian = ikeda_lagrangian(spec)
     return CheckReport(pullback(lagrangian, auto) == lagrangian)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
-from .poisson import OmegaSpec, l2_density
+from .poisson import OmegaSpec, _pairing, l2_density
 from .varcalc import HorizontalForm, d_h, euler, iterated_total_derivative
 
 
@@ -153,8 +153,14 @@ def check_pullback_dh_commute(form: HorizontalForm, auto: Automorphism) -> Check
     """
     defect = pullback_form(d_h(form), auto) - d_h(pullback_form(form, auto))
     dims = form.ctx.base_dims
-    residuals = tuple(("^".join(f"d{dims[i]}" for i in idx), poly) for idx, poly in defect.coeffs)
-    return CheckReport(not residuals, residuals)
+    return CheckReport.of(("^".join(f"d{dims[i]}" for i in idx), poly)
+                          for idx, poly in defect.coeffs)
+
+
+def _jacobian(auto: Automorphism) -> tuple[tuple[Poly, ...], ...]:
+    """The fiber Jacobian: row a holds dpsi^a/du^c for every fiber c."""
+    fibers = [Generator.jet(c) for c in range(auto.ctx.m)]
+    return tuple(tuple(psi_a.partial(g) for g in fibers) for psi_a in auto.psi)
 
 
 def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
@@ -165,24 +171,16 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
         omega^{ab}(psi(u)) - sum_{c,d} omega^{cd} dpsi^a/du^c dpsi^b/du^d
 
     must vanish; failing pairs are reported at `omega[a,b]` with their
-    residuals.
+    residuals.  The sum is the bracket density's pairing of Jacobian rows.
     """
     ctx = omega.ctx
     if auto.ctx != ctx:
         raise ValueError("automorphism over a different chart")
-    m = ctx.m
-    jacobian = [[auto.psi[a].partial(Generator.jet(c)) for c in range(m)] for a in range(m)]
-    residuals = []
-    for a in range(m):
-        for b in range(m):
-            transported = Poly.sum(ctx, (omega.entry(c, d) * jacobian[a][c] * jacobian[b][d]
-                                         for c in range(m) if jacobian[a][c]
-                                         for d in range(m)
-                                         if omega.entry(c, d) and jacobian[b][d]))
-            residual = pullback(omega.entry(a, b), auto) - transported
-            if not residual.is_zero:
-                residuals.append((f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]", residual))
-    return CheckReport(not residuals, tuple(residuals))
+    jacobian = _jacobian(auto)
+    return CheckReport.of(
+        (f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]",
+         pullback(omega.entry(a, b), auto) - _pairing(jacobian[a], jacobian[b], omega))
+        for a in range(ctx.m) for b in range(ctx.m))
 
 
 def check_canonical_density(omega: OmegaSpec, auto: Automorphism, p: Poly,
@@ -194,10 +192,8 @@ def check_canonical_density(omega: OmegaSpec, auto: Automorphism, p: Poly,
     """
     moved = l2_density(pullback(p, auto), pullback(q, auto), omega)
     defect = euler(moved - pullback(l2_density(p, q, omega), auto))
-    residuals = tuple((f"E[{fiber}]", component)
-                      for fiber, component in zip(omega.ctx.fibers, defect)
-                      if not component.is_zero)
-    return CheckReport(not residuals, residuals)
+    return CheckReport.of((f"E[{fiber}]", component)
+                          for fiber, component in zip(omega.ctx.fibers, defect))
 
 
 def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
@@ -209,15 +205,12 @@ def check_el_transform(auto: Automorphism, p: Poly) -> CheckReport:
     ctx = auto.ctx
     lhs = euler(pullback(p, auto))
     moved_parts = [pullback(part, auto) for part in euler(p)]
-    residuals = []
-    for a in range(ctx.m):
-        factors = (psi_c.partial(Generator.jet(a)) for psi_c in auto.psi)
-        rhs = Poly.sum(ctx, (factor * moved for factor, moved in zip(factors, moved_parts)
-                             if factor and moved))
-        residual = lhs[a] - rhs
-        if not residual.is_zero:
-            residuals.append((f"E[{ctx.fibers[a]}]", residual))
-    return CheckReport(not residuals, tuple(residuals))
+    jacobian = _jacobian(auto)
+    return CheckReport.of(
+        (f"E[{ctx.fibers[a]}]",
+         lhs[a] - Poly.sum(ctx, (row[a] * moved for row, moved in zip(jacobian, moved_parts)
+                                 if row[a] and moved)))
+        for a in range(ctx.m))
 
 
 class InvalidGroup(JetcalcError, ValueError):
@@ -347,13 +340,10 @@ def check_invariance(form: HorizontalForm, group: FiniteGroupAction) -> CheckRep
     """
     moved_by = {g: pullback_form(form, g) for g in group._generators}
     if all(moved == form for moved in moved_by.values()):
-        return CheckReport(True)
-    residuals = []
-    for k, g in enumerate(group.elements):
-        moved = moved_by[g] if g in moved_by else pullback_form(form, g)
-        if moved != form:
-            residuals.extend((f"element[{k}]", poly) for _, poly in (moved - form).coeffs)
-    return CheckReport(not residuals, tuple(residuals))
+        return CheckReport.of(())
+    images = (moved_by[g] if g in moved_by else pullback_form(form, g) for g in group.elements)
+    return CheckReport.of((f"element[{k}]", poly) for k, moved in enumerate(images)
+                          if moved != form for _, poly in (moved - form).coeffs)
 
 
 def check_invariant_closure(alpha: HorizontalForm, beta: HorizontalForm,

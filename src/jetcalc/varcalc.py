@@ -30,6 +30,7 @@ the preimage in that case by peeling one jet order at a time.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping
 
 from .kernel import UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly
@@ -151,7 +152,7 @@ class HorizontalForm:
         return HorizontalForm(self.ctx, self.degree,
                               [(idx, fn(poly)) for idx, poly in self.coeffs])
 
-    def __add__(self, other: "HorizontalForm") -> "HorizontalForm":
+    def _combine(self, other, op) -> "HorizontalForm":
         if not isinstance(other, HorizontalForm):
             return NotImplemented
         if self.ctx != other.ctx or self.degree != other.degree:
@@ -159,10 +160,13 @@ class HorizontalForm:
         keys = set(self._lookup) | set(other._lookup)
         return HorizontalForm(
             self.ctx, self.degree,
-            [(idx, self.coefficient(idx) + other.coefficient(idx)) for idx in keys])
+            [(idx, op(self.coefficient(idx), other.coefficient(idx))) for idx in keys])
+
+    def __add__(self, other: "HorizontalForm") -> "HorizontalForm":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "HorizontalForm") -> "HorizontalForm":
-        return self + other * -1
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar) -> "HorizontalForm":
         return self.map_coefficients(lambda p: p * scalar)

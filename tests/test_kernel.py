@@ -547,6 +547,16 @@ class TestCheckReport:
         assert CheckReport(False).residuals == () and CheckReport(True).results == ()
         with pytest.raises(AttributeError):
             CheckReport(True).passed = False
+        # `of` keeps the nonzero residuals, in order, and passes iff none is kept
+        zero, one = Poly.zero(ctx1), Poly.const(ctx1, 1)
+        u1 = Poly.generator(ctx1, Generator.jet(0))
+        report = CheckReport.of([("a", zero), ("b", u1), ("c", zero), ("d", one)])
+        assert report == CheckReport(False, (("b", u1), ("d", one)))
+        assert CheckReport.of(iter([("a", zero)])) == CheckReport(True)
+        assert CheckReport.of(()) == CheckReport(True)
+        results = (("block", "exact"),)
+        assert CheckReport.of((), results) == CheckReport(True, (), results)
+        assert CheckReport.of([("d", one)], results) == CheckReport(False, (("d", one),), results)
 
     def test_every_check_returns_one(self, ctx1, omega_std, rot90, c4):
         scale = Automorphism(ctx1, (parse_expr("2*u1", ctx1), parse_expr("u2", ctx1)),
@@ -584,3 +594,6 @@ class TestCheckReport:
             assert bool(report) is report.passed, name
             assert report.passed == (name not in failing), name
             assert bool(report.residuals) == failing.get(name, False), name
+            if not name.startswith("sigma-invariance"):
+                assert report.passed == (not report.residuals), name
+                assert all(not residual.is_zero for _, residual in report.residuals), name

@@ -121,6 +121,30 @@ class TestHorizontalForm:
         with pytest.raises(DegreeError):
             a + HorizontalForm.scalar(p)
 
+    def test_difference_is_the_sum_with_the_negation(self, ctx1, ctx2):
+        p, q = parse_expr("u1", ctx2), parse_expr("1/2*u2 - u1_y", ctx2)
+        a = HorizontalForm(ctx2, 1, {(0,): p})
+        b = HorizontalForm(ctx2, 1, {(0,): q, (1,): p})
+        f, g = parse_expr("u1*u2_x", ctx1), parse_expr("u1*u2_x - 3*u1^2", ctx1)
+        pairs = [(a, b), (b, a), (a, a), (a, HorizontalForm.zero(ctx2, 1)),
+                 (HorizontalForm.density(p), HorizontalForm.density(q)),
+                 (HorizontalForm.scalar(f), HorizontalForm.scalar(g)),
+                 (HorizontalForm.density(g), HorizontalForm.density(f))]
+        for x, y in pairs:
+            assert x - y == x + y * -1
+
+    def test_difference_makes_no_products(self, ctx2, monkeypatch):
+        p, q = parse_expr("u1", ctx2), parse_expr("1/2*u2 - u1_y", ctx2)
+        a = HorizontalForm(ctx2, 1, {(0,): p})
+        b = HorizontalForm(ctx2, 1, {(0,): q, (1,): p})
+        calls = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda *args: calls.append(args) or mul(*args))
+        assert (a - b).coefficient((1,)) == -p
+        assert calls == []
+        b * -1  # the negation that a subtraction by a + b * -1 would make
+        assert len(calls) == len(b.coeffs) == 2
+
     def test_wrong_degree_accessors(self, ctx2):
         p = parse_expr("u1", ctx2)
         with pytest.raises(DegreeError):
