@@ -20,8 +20,8 @@ The `jetcalc` command line tool drives all of it from small model files; see
 from .dsl import ParseError, parse_expr, render_expr
 from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, Monomial,
                      MultiIndex, Poly, UnknownName)
-from .modelfile import ModelFile, load_model, parse_model
-from .poisson import (EntryNotOrderZero, FunctionalClass, NonSkew, OmegaSpec,
+from .modelfile import MissingDeclaration, ModelFile, load_model, parse_model
+from .poisson import (ChartMismatch, EntryNotOrderZero, FunctionalClass, NonSkew, OmegaSpec,
                       bracket, check_poisson_tensor, cyclic_sum, jacobiator,
                       l2_density, validate_omega)
 from .shlie import GradedElement, check_shlie_relations, l1, l2, l3
@@ -39,9 +39,9 @@ from .varcalc import (DegreeError, HorizontalForm, NotExact, Unsupported, d_h,
                       iterated_total_derivative, total_derivative)
 
 __all__ = [
-    "Automorphism", "BundleSpec", "CheckReport", "DegreeError",
+    "Automorphism", "BundleSpec", "ChartMismatch", "CheckReport", "DegreeError",
     "EntryNotOrderZero", "FiniteGroupAction", "FunctionalClass", "Generator",
-    "GradedElement", "HorizontalForm", "InvalidGroup", "JetcalcError",
+    "GradedElement", "HorizontalForm", "InvalidGroup", "JetcalcError", "MissingDeclaration",
     "Monomial", "MultiIndex", "ModelFile", "NonSkew", "NotExact",
     "NotOrthogonal", "OmegaSpec", "ParseError", "Poly", "PreconditionFailed",
     "SigmaModelSpec", "UnknownName", "Unsupported", "bracket", "build_sigma",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .dsl import ParseError, parse_expr
-from .kernel import BundleSpec, Poly, UnknownName
+from .kernel import BundleSpec, JetcalcError, Poly, UnknownName
 from .poisson import OmegaSpec, validate_omega
 from .sigma import SigmaModelSpec, build_sigma, sigma_bundle
 from .symmetry import Automorphism, FiniteGroupAction
@@ -139,6 +139,10 @@ def _parse_matrix(text: str, offset: int, ctx: BundleSpec) -> tuple[tuple[Poly, 
     return tuple(rows)
 
 
+class MissingDeclaration(JetcalcError, ValueError):
+    """A command needs a structure matrix or sigma block the model lacks."""
+
+
 @dataclass
 class ModelFile:
     """A parsed model: the chart plus every named object declared in the file."""
@@ -170,12 +174,12 @@ class ModelFile:
 
     def require_omega(self) -> OmegaSpec:
         if self.omega is None:
-            raise ValueError("the model declares no structure matrix (omega)")
+            raise MissingDeclaration("the model declares no structure matrix (omega)")
         return self.omega
 
     def require_sigma(self) -> SigmaModelSpec:
         if self.sigma is None:
-            raise ValueError("the model declares no sigma block")
+            raise MissingDeclaration("the model declares no sigma block")
         return self.sigma
 
 

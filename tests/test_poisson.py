@@ -9,9 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 import jetcalc.poisson
 from jetcalc import (
     BundleSpec,
+    ChartMismatch,
     EntryNotOrderZero,
     FunctionalClass,
     Generator,
+    JetcalcError,
+    MissingDeclaration,
+    ModelFile,
     Monomial,
     NonSkew,
     OmegaSpec,
@@ -59,6 +63,19 @@ class TestOmegaSpec:
         z1, z2 = Poly.zero(ctx1), Poly.zero(ctx2)
         with pytest.raises(ValueError):
             OmegaSpec(ctx1, ((z1, z1), (z2, z1)))
+
+    def test_errors_are_typed(self, ctx1, ctx2, omega_std):
+        # the user-caused errors are JetcalcErrors that stay ValueErrors
+        one, other = Poly.const(ctx1, 1), parse_expr("u1", ctx2)
+        calls = [lambda: OmegaSpec(ctx1, ((one,),)),
+                 lambda: OmegaSpec(ctx1, ((one, one), (other, one))),
+                 lambda: l2_density(other, other, omega_std),
+                 lambda: jacobiator(other, other, other, omega_std),
+                 ModelFile(ctx1).require_omega, ModelFile(ctx1).require_sigma]
+        for call, error in zip(calls, [ChartMismatch] * 4 + [MissingDeclaration] * 2):
+            with pytest.raises(error) as info:
+                call()
+            assert isinstance(info.value, JetcalcError) and isinstance(info.value, ValueError)
 
     def test_validate_accepts_standard(self, omega_std, omega_so3, omega_affine):
         validate_omega(omega_std)
@@ -174,6 +191,60 @@ def _so3_sigma():
         3, (("0", "u3", "-u2"), ("-u3", "0", "u1"), ("u2", "-u1", "0"))))[1]
 
 
+def _block_sigma():
+    """The sigma structure of a 10-field W made of two so(3) blocks and two
+    constant 2x2 blocks: 30 fibers, the size of the largest benchmark model."""
+    w = [["0"] * 10 for _ in range(10)]
+    for at, scale in ((0, 1), (3, 2)):
+        u = [f"u{at + k + 1}" for k in range(3)]
+        for (a, b), entry in zip(((0, 1), (1, 2), (2, 0)), (u[2], u[0], u[1])):
+            w[at + a][at + b], w[at + b][at + a] = f"{scale}*{entry}", f"-{scale}*{entry}"
+    for at, scale in ((6, 3), (8, -1)):
+        w[at][at + 1], w[at + 1][at] = str(scale), str(-scale)
+    return build_sigma(SigmaModelSpec.from_strings(10, tuple(map(tuple, w))))[1]
+
+
+@st.composite
+def block_omegas(draw):
+    """Block-diagonal skew matrices over 6 to 12 fibers, up to relabelling.
+
+    A 3x3 block is an so(3) block (Poisson) or a chain u_i, u_j on two of its
+    entries (not Poisson); a 2x2 block is a constant, or a multiple of any
+    fiber of the matrix, which couples the block to another one.
+    """
+    sizes = []
+    while sum(sizes) < 6:
+        sizes.append(draw(st.sampled_from((2, 3))))
+    sizes += draw(st.lists(st.sampled_from((2, 3)), max_size=(12 - sum(sizes)) // 3))
+    m = sum(sizes)
+    ctx = BundleSpec(("x",), tuple(f"u{a + 1}" for a in range(m)))
+    label = draw(st.permutations(range(m)))
+    scale = st.sampled_from((-2, -1, 1, 3, Fraction(1, 2)))
+    u = [Poly.generator(ctx, Generator.jet(a)) for a in range(m)]
+    upper, at = {}, 0
+    for size in sizes:
+        i, j, *k = sorted(label[at:at + size])
+        c = draw(scale)
+        if size == 2:
+            upper[i, j] = (Poly.const(ctx, c) if draw(st.booleans())
+                           else u[draw(st.integers(0, m - 1))] * c)
+        elif draw(st.booleans()):
+            upper.update({(i, j): u[k[0]] * c, (j, k[0]): u[i] * c, (i, k[0]): u[j] * -c})
+        else:
+            upper.update({(i, j): u[i] * c, (j, k[0]): u[j] * c})
+        at += size
+    return OmegaSpec(ctx, skew_rows(ctx, m, upper))
+
+
+def dense_residuals(omega):
+    """The failing triples of every a < b < c, each summed over every d."""
+    fibers = omega.ctx.fibers
+    return tuple((f"({fibers[a]},{fibers[b]},{fibers[c]})", total)
+                 for a in range(omega.ctx.m) for b in range(a + 1, omega.ctx.m)
+                 for c in range(b + 1, omega.ctx.m)
+                 for total in [dense_cyclic_sum(omega, a, b, c)] if total)
+
+
 class TestCyclicSumOracle:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.one_of(generic_omegas(), sigma_omegas()))
@@ -193,6 +264,24 @@ class TestCyclicSumOracle:
         report = check_poisson_tensor(omega)
         assert report.residuals == tuple(expected_failures)
         assert report.passed == (not expected_failures)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(block_omegas())
+    @example(_block_sigma())
+    def test_sparse_matches_dense_triples(self, omega):
+        report = check_poisson_tensor(omega)
+        assert report.residuals == dense_residuals(omega)
+
+    def test_visits_only_support_triples(self, monkeypatch):
+        omega = _block_sigma()
+        triples = []
+        cyclic = jetcalc.poisson.cyclic_sum
+        monkeypatch.setattr(jetcalc.poisson, "cyclic_sum",
+                            lambda omega, *abc: triples.append(abc) or cyclic(omega, *abc))
+        report = check_poisson_tensor(omega)
+        assert len(triples) < 200            # of C(30, 3) = 4,060
+        assert triples == sorted(triples)
+        assert not report.passed
 
 
 class TestBracketDensity:
