@@ -18,10 +18,10 @@ The `jetcalc` command line tool drives all of it from small model files; see
 """
 
 from .dsl import ParseError, parse_expr, render_expr
-from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, Monomial,
+from .kernel import (BundleSpec, ChartMismatch, CheckReport, Generator, JetcalcError, Monomial,
                      MultiIndex, Poly, UnknownName)
 from .modelfile import MissingDeclaration, ModelFile, load_model, parse_model
-from .poisson import (ChartMismatch, EntryNotOrderZero, FunctionalClass, NonSkew, OmegaSpec,
+from .poisson import (EntryNotOrderZero, FunctionalClass, NonSkew, OmegaSpec,
                       bracket, check_poisson_tensor, cyclic_sum, jacobiator,
                       l2_density, validate_omega)
 from .shlie import GradedElement, check_shlie_relations, l1, l2, l3

@@ -66,6 +66,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _exact(convert, value):
+    """convert(value), for int or str, in full past the interpreter's limit on
+    int/str digits: through `decimal`, which is exact and has none."""
+    try:
+        return convert(value)
+    except ValueError:
+        from decimal import Decimal
+        if isinstance(value, Fraction):
+            return f"{_exact(str, value.numerator)}/{_exact(str, value.denominator)}"
+        return convert(Decimal(value))
+
+
 def _resolve_name(name: str, pos: int, ctx: BundleSpec) -> Generator:
     if "_" not in name:
         try:
@@ -149,19 +161,20 @@ class _Parser:
 
     def posint(self) -> int:
         kind, text, pos = self.peek()
-        if kind != "num" or int(text) < 1:
+        value = _exact(int, text) if kind == "num" else 0
+        if value < 1:
             raise ParseError("expected a positive integer", pos)
         self.advance()
-        return int(text)
+        return value
 
     def primary(self) -> Poly:
         kind, text, pos = self.advance()
         if kind == "num":
-            value = int(text)
+            value = _exact(int, text)
             k, t, _ = self.peek()
             if k == "op" and t == "/":
                 self.advance()
-                value = Fraction(int(text), self.posint())
+                value = Fraction(value, self.posint())
             return Poly.const(self.ctx, value)
         if kind == "name":
             g = _resolve_name(text, pos, self.ctx)
@@ -186,7 +199,7 @@ def _render_monomial(mono: Monomial, ctx: BundleSpec) -> str:
     parts = []
     for g, e in mono.powers:
         name = g.name(ctx)
-        parts.append(name if e == 1 else f"{name}^{e}")
+        parts.append(name if e == 1 else f"{name}^{_exact(str, e)}")
     return "*".join(parts)
 
 
@@ -199,11 +212,11 @@ def render_expr(p: Poly) -> str:
         sign = "-" if coeff < 0 else "+"
         mag = -coeff if coeff < 0 else coeff
         if mono.is_unit:
-            body = str(mag)
+            body = _exact(str, mag)
         elif mag == 1:
             body = _render_monomial(mono, p.ctx)
         else:
-            body = f"{mag}*{_render_monomial(mono, p.ctx)}"
+            body = f"{_exact(str, mag)}*{_render_monomial(mono, p.ctx)}"
         if not pieces:
             pieces.append(body if sign == "+" else "-" + body)
         else:

@@ -30,6 +30,16 @@ class JetcalcError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ChartMismatch(JetcalcError, ValueError):
+    """An operand over another chart than the one it meets, or a misshapen omega."""
+
+
+def _same_chart(ctx: BundleSpec, other: BundleSpec, message: str) -> None:
+    """Raise ChartMismatch(message) unless `other` is `ctx`, identity first."""
+    if other is not ctx and other != ctx:
+        raise ChartMismatch(message)
+
+
 class UnknownName(JetcalcError):
     """An identifier that is not declared in the bundle."""
 
@@ -525,13 +535,12 @@ class Poly:
         two-part case.  Parts stream: the running sum is kept over the least
         common denominator of the parts so far, and each part is scaled by
         that denominator over its own, so parts that are all integral fold
-        with no scaling.  Raises ValueError on a part over another chart.
+        with no scaling.  Raises ChartMismatch on a part over another chart.
         """
         terms: dict[Monomial, int] = {}
         den = 1
         for part in parts:
-            if part.ctx is not ctx and part.ctx != ctx:
-                raise ValueError("polynomials over different bundle charts")
+            _same_chart(ctx, part.ctx, "polynomials over different bundle charts")
             scale = 1
             if part._den != den:
                 den, scale = _common_den(terms, den, part._den)
@@ -630,8 +639,7 @@ class Poly:
                 return Poly.zero(self.ctx)
             return Poly._reduced(self.ctx, {m: k * c for m, k in self._terms.items()},
                                  self._den * den)
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise ValueError("polynomials over different bundle charts")
+        _same_chart(self.ctx, other.ctx, "polynomials over different bundle charts")
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -671,13 +679,7 @@ class Poly:
         """Partial derivative with respect to one generator."""
         if not g.declared_in(self.ctx):
             raise UnknownName(repr(g))
-        terms: dict[Monomial, int] = {}
-        for mono, c in self._terms.items():
-            e = mono.exponent(g)
-            if not e:
-                continue
-            _accumulate(terms, mono.with_exponent(g, e - 1), c * e)
-        return Poly._reduced(self.ctx, terms, self._den)
+        return self.derivation({g: UNIT}.get)
 
     def antiderivative(self, g: Generator) -> "Poly":
         """Antiderivative with respect to one generator, with no constant of
@@ -729,8 +731,7 @@ class Poly:
         for g, q in mapping.items():
             if not g.declared_in(ctx):
                 raise UnknownName(repr(g))
-            if q.ctx != ctx:
-                raise ValueError("replacement polynomial over a different chart")
+            _same_chart(ctx, q.ctx, "replacement polynomial over a different chart")
         profiles: dict[Generator, tuple[set[Generator], int]] = {}
         gens: set[Generator] = set()
         bound = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import BundleSpec, CheckReport, JetcalcError, Poly
+from .kernel import BundleSpec, ChartMismatch, CheckReport, JetcalcError, Poly, _same_chart
 from .varcalc import euler, is_divergence
 
 
@@ -32,11 +32,6 @@ class NonSkew(JetcalcError):
 
 class EntryNotOrderZero(JetcalcError):
     """A structure matrix entry depends on base coordinates or higher jets."""
-
-
-class ChartMismatch(JetcalcError, ValueError):
-    """A structure matrix of the wrong shape, or an entry or density over
-    another chart than omega's."""
 
 
 @dataclass(frozen=True)
@@ -52,18 +47,19 @@ class OmegaSpec:
             raise ChartMismatch(f"omega must be {m}x{m} to match the fibers")
         for row in self.entries:
             for entry in row:
-                if entry.ctx != self.ctx:
-                    raise ChartMismatch("omega entry over a different chart")
+                _same_chart(self.ctx, entry.ctx, "omega entry over a different chart")
 
     def entry(self, a: int, b: int) -> Poly:
         return self.entries[a][b]
 
 
 def validate_omega(omega: OmegaSpec) -> None:
-    """Check skewness and order-zero fiber dependence of every entry."""
+    """Check skewness and order-zero fiber dependence of every entry, once
+    per pair (a, b), a <= b: a skew pair's entries have the same generators,
+    so the first failure is that of a pass over every ordered pair."""
     m = omega.ctx.m
     for a in range(m):
-        for b in range(m):
+        for b in range(a, m):
             if omega.entry(a, b) != -omega.entry(b, a):
                 names = (omega.ctx.fibers[a], omega.ctx.fibers[b])
                 raise NonSkew(f"omega[{names[0]},{names[1]}] != -omega[{names[1]},{names[0]}]")
@@ -122,8 +118,8 @@ def _pairing(ep: tuple[Poly, ...], eq: tuple[Poly, ...], omega: OmegaSpec) -> Po
 
 def l2_density(p: Poly, q: Poly, omega: OmegaSpec) -> Poly:
     """Bracket density omega^{ab} E_a(p) E_b(q)."""
-    if p.ctx != omega.ctx or q.ctx != omega.ctx:
-        raise ChartMismatch("density over a different chart than omega")
+    for density in (p, q):
+        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
     return _pairing(euler(p), euler(q), omega)
 
 
@@ -152,8 +148,8 @@ def jacobiator(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> Poly:
     Each Euler component is computed once: those of p, q and r, and those
     of the three inner brackets, six `euler` calls in all.
     """
-    if any(d.ctx != omega.ctx for d in (p, q, r)):
-        raise ChartMismatch("density over a different chart than omega")
+    for density in (p, q, r):
+        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
     ep, eq, er = euler(p), euler(q), euler(r)
     pq, pr, qr = (euler(_pairing(x, y, omega)) for x, y in ((ep, eq), (ep, er), (eq, er)))
     return Poly.sum(omega.ctx, (_pairing(pq, er, omega), -_pairing(pr, eq, omega),

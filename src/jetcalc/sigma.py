@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dsl import parse_expr
-from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
+from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, Monomial, MultiIndex,
+                     Poly, _same_chart)
 from .poisson import NonSkew, OmegaSpec
 from .symmetry import Automorphism, pullback
 from .varcalc import euler
@@ -74,15 +75,13 @@ class SigmaModelSpec:
 
     def __post_init__(self):
         N = self.n_fields
-        if self.bundle != sigma_bundle(N):
-            raise ValueError("bundle does not match the generated sigma chart")
+        _same_chart(sigma_bundle(N), self.bundle, "bundle does not match the generated sigma chart")
         if len(self.w) != N or any(len(row) != N for row in self.w):
             raise ValueError(f"structure matrix must be {N}x{N}")
         for A in range(N):
             for B in range(N):
                 entry = self.w[A][B]
-                if entry.ctx != self.bundle:
-                    raise ValueError("structure entry over a different chart")
+                _same_chart(self.bundle, entry.ctx, "structure entry over a different chart")
                 if entry != -self.w[B][A]:
                     raise NonSkew(f"W[{A + 1},{B + 1}] != -W[{B + 1},{A + 1}]")
                 for g in entry.generators():
@@ -174,35 +173,24 @@ def sigma_euler_check(spec: SigmaModelSpec) -> CheckReport:
     each mismatching component is a residual at `E[fiber]`, actual minus
     expected, the w-block first.
     """
-    ctx = spec.bundle
+    fibers = spec.bundle.fibers
     N = spec.n_fields
     components = euler(ikeda_lagrangian(spec))
     half = Fraction(1, 2)
-
-    w_residuals = []
-    for mu, nu, eps in _EPS:
-        for A in range(N):
-            expected = covariant_derivative(spec, A, nu) * eps
-            actual = components[_w_pos(N, A, mu)]
-            if actual != expected:
-                w_residuals.append((f"E[{ctx.fibers[_w_pos(N, A, mu)]}]", actual - expected))
-
-    u_residuals = []
-    displayed_all = True
-    for A in range(N):
-        curvature = contracted_curvature(spec, A)
-        actual = components[_u_pos(A)]
-        if actual != curvature * half:
-            u_residuals.append((f"E[{ctx.fibers[_u_pos(A)]}]", actual - curvature * half))
-        if actual != curvature:
-            displayed_all = False
-
+    w_block = CheckReport.of(
+        (f"E[{fibers[_w_pos(N, A, mu)]}]",
+         components[_w_pos(N, A, mu)] - covariant_derivative(spec, A, nu) * eps)
+        for mu, nu, eps in _EPS for A in range(N))
+    curvatures = [contracted_curvature(spec, A) for A in range(N)]
+    u_block = CheckReport.of((f"E[{fibers[_u_pos(A)]}]", components[_u_pos(A)] - curvature * half)
+                             for A, curvature in enumerate(curvatures))
+    displayed = all(components[_u_pos(A)] == curvature for A, curvature in enumerate(curvatures))
     results = (
-        ("w_block", "mismatch" if w_residuals else "exact"),
-        ("u_block_vs_half_curvature", "mismatch" if u_residuals else "exact"),
-        ("u_block_vs_displayed_curvature", "match" if displayed_all else "factor 2 off"),
+        ("w_block", "exact" if w_block else "mismatch"),
+        ("u_block_vs_half_curvature", "exact" if u_block else "mismatch"),
+        ("u_block_vs_displayed_curvature", "match" if displayed else "factor 2 off"),
     )
-    return CheckReport.of(w_residuals + u_residuals, results)
+    return CheckReport.of(w_block.residuals + u_block.residuals, results)
 
 
 def _as_rational_matrix(matrix: Sequence[Sequence], size: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -224,28 +212,30 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
 
     Fields transform by u_B -> sum_A M[A][B] u_A and the covector fields by
     the inverse matrix, w^D_mu -> sum_A M[A][D] w^A_mu (inverse = transpose).
-    Raises NotOrthogonal unless M M^T is exactly the identity.
+    Raises NotOrthogonal at the first (i, j) unless M M^T is exactly the
+    identity, read off the u-block: pulled back by the map, row i of the
+    inverse is sum_j (M M^T)[i][j] u_j.  That one proof, with M square and
+    the same in every block, makes the validation of `Automorphism` moot.
     """
     N = spec.n_fields
     M = _as_rational_matrix(matrix, N)
-    for i in range(N):
-        for j in range(N):
-            dot = sum((M[i][k] * M[j][k] for k in range(N)), Fraction(0))
-            if dot != (1 if i == j else 0):
-                raise NotOrthogonal(f"(M M^T)[{i + 1},{j + 1}] = {dot}")
     ctx = spec.bundle
-
-    blocks = ([Poly.generator(ctx, Generator.jet(_u_pos(A))) for A in range(N)],
-              [_w_gen(spec, A, 0) for A in range(N)],
-              [_w_gen(spec, A, 1) for A in range(N)])
+    blocks = [[Poly.generator(ctx, Generator.jet(_u_pos(A))) for A in range(N)]] + [
+        [_w_gen(spec, A, mu) for A in range(N)] for mu in (0, 1)]
 
     def image(weight) -> tuple[Poly, ...]:
         return tuple(Poly.sum(ctx, (gens[A] * weight(A, B) for A in range(N) if weight(A, B)))
                      for gens in blocks for B in range(N))
 
-    psi = image(lambda A, B: M[A][B])
-    psi_inv = image(lambda A, B: M[B][A])
-    return Automorphism(ctx, psi, psi_inv)
+    auto = Automorphism._trusted(ctx, image(lambda A, B: M[A][B]), image(lambda A, B: M[B][A]))
+    fields = [Monomial(((Generator.jet(_u_pos(j)), 1),)) for j in range(N)]
+    for i in range(N):
+        row = pullback(auto.psi_inv[i], auto)
+        for j, u_j in enumerate(fields):
+            dot = row.coefficient(u_j)
+            if dot != (1 if i == j else 0):
+                raise NotOrthogonal(f"(M M^T)[{i + 1},{j + 1}] = {dot}")
+    return auto
 
 
 def check_lagrangian_invariance(spec: SigmaModelSpec,

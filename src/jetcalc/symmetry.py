@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .kernel import BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly
+from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly,
+                     _same_chart)
 from .poisson import OmegaSpec, _pairing, l2_density
 from .varcalc import HorizontalForm, d_h, euler, iterated_total_derivative
 
@@ -35,8 +36,7 @@ def _check_fiber_map(ctx: BundleSpec, polys: tuple[Poly, ...], label: str):
     if len(polys) != ctx.m:
         raise ValueError(f"{label} must give one polynomial per fiber")
     for p in polys:
-        if p.ctx != ctx:
-            raise ValueError(f"{label} entry over a different chart")
+        _same_chart(ctx, p.ctx, f"{label} entry over a different chart")
         for g in p.generators():
             if g.is_jet and g.order > 0:
                 raise ValueError(
@@ -50,11 +50,12 @@ class Automorphism:
 
     `Automorphism(ctx, psi, psi_inv)` validates both directions by pullback:
     each psi^a pulled back by the inverse, and each psi_inv^a pulled back by
-    the map, must give u^a again.  The results of `identity`, `compose` and
-    `inverse` are valid by construction and are not re-checked.  `inverse`
-    is built once and, while this automorphism lives, its own inverse is
-    this automorphism, so both keep their prolongation caches across calls;
-    equality and hashing read the three fields only.
+    the map, must give u^a again.  The results of `identity`, `compose`,
+    `inverse` and `sigma.orthogonal_action` are valid by construction or by
+    their own proof and are not re-checked.  `inverse` is built once and,
+    while this automorphism lives, its own inverse is this automorphism, so
+    both keep their prolongation caches across calls; equality and hashing
+    read the three fields only.
     """
 
     ctx: BundleSpec
@@ -113,8 +114,7 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: fibers map through other first, then self.  Both
         directions are pullbacks, as (g after h)^* = h^* g^*."""
-        if self.ctx != other.ctx:
-            raise ValueError("automorphisms over different charts")
+        _same_chart(self.ctx, other.ctx, "automorphisms over different charts")
         return Automorphism._trusted(self.ctx, tuple(pullback(p, other) for p in self.psi),
                                      tuple(pullback(p, self.inverse()) for p in other.psi_inv))
 
@@ -131,8 +131,7 @@ class Automorphism:
 def pullback(p: Poly, auto: Automorphism) -> Poly:
     """Compose a polynomial with the prolonged automorphism: the one place a
     fiber map becomes a substitution, for composition and validation too."""
-    if p.ctx != auto.ctx:
-        raise ValueError("polynomial over a different chart")
+    _same_chart(auto.ctx, p.ctx, "polynomial over a different chart")
     mapping = {}
     for g in p.generators():
         if g.is_jet:
@@ -174,8 +173,7 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
     residuals.  The sum is the bracket density's pairing of Jacobian rows.
     """
     ctx = omega.ctx
-    if auto.ctx != ctx:
-        raise ValueError("automorphism over a different chart")
+    _same_chart(ctx, auto.ctx, "automorphism over a different chart")
     jacobian = _jacobian(auto)
     return CheckReport.of(
         (f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]",
@@ -264,8 +262,7 @@ class FiniteGroupAction:
             raise InvalidGroup("a group action needs at least the identity")
         ctx = self.elements[0].ctx
         for g in self.elements:
-            if g.ctx != ctx:
-                raise InvalidGroup("group elements over different charts")
+            _same_chart(ctx, g.ctx, "group elements over different charts")
         members = set(self.elements)
         if len(members) != len(self.elements):
             raise InvalidGroup("duplicate group element")

@@ -33,7 +33,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Mapping
 
-from .kernel import UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly
+from .kernel import (UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly,
+                     _same_chart)
 
 
 class DegreeError(JetcalcError):
@@ -106,8 +107,7 @@ class HorizontalForm:
                 raise ValueError(f"index tuple {idx} must be strictly increasing")
             if any(not 0 <= i < ctx.n for i in idx):
                 raise ValueError(f"index tuple {idx} out of range")
-            if poly.ctx != ctx:
-                raise ValueError("coefficient over a different chart")
+            _same_chart(ctx, poly.ctx, "coefficient over a different chart")
             if poly.is_zero:
                 continue
             if idx in lookup:
@@ -155,7 +155,8 @@ class HorizontalForm:
     def _combine(self, other, op) -> "HorizontalForm":
         if not isinstance(other, HorizontalForm):
             return NotImplemented
-        if self.ctx != other.ctx or self.degree != other.degree:
+        _same_chart(self.ctx, other.ctx, "cannot add forms of different degree or chart")
+        if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree or chart")
         keys = set(self._lookup) | set(other._lookup)
         return HorizontalForm(

@@ -17,11 +17,14 @@ from jetcalc import (
     Automorphism,
     BundleSpec,
     CheckReport,
+    EntryNotOrderZero,
     Generator,
     HorizontalForm,
     Monomial,
     MultiIndex,
+    NonSkew,
     NotExact,
+    OmegaSpec,
     Poly,
     PreconditionFailed,
     UnknownName,
@@ -335,6 +338,88 @@ def reference_substitute(p, mapping):
         for m, k in replaced._terms.items():
             kernel._accumulate(terms, head.times(m), c * k)
     return Poly._reduced(ctx, terms, p._den * den)
+
+
+def reference_orthogonality(matrix):
+    """The NotOrthogonal message of the first (i, j), row-major, with
+    (M M^T)[i][j] off the identity, by the N^3 `Fraction` loop over the
+    entries, or None when M is orthogonal."""
+    n = len(matrix)
+    m = [[Fraction(cell) for cell in row] for row in matrix]
+    for i in range(n):
+        for j in range(n):
+            dot = sum((m[i][k] * m[j][k] for k in range(n)), Fraction(0))
+            if dot != (1 if i == j else 0):
+                return f"(M M^T)[{i + 1},{j + 1}] = {dot}"
+    return None
+
+
+def reference_validate_omega(omega):
+    """`validate_omega` over every ordered pair (a, b), row-major."""
+    m = omega.ctx.m
+    for a in range(m):
+        for b in range(m):
+            if omega.entry(a, b) != -omega.entry(b, a):
+                names = (omega.ctx.fibers[a], omega.ctx.fibers[b])
+                raise NonSkew(f"omega[{names[0]},{names[1]}] != -omega[{names[1]},{names[0]}]")
+            for g in omega.entry(a, b).generators():
+                if g.is_base or (g.is_jet and g.order > 0):
+                    raise EntryNotOrderZero(
+                        f"omega[{omega.ctx.fibers[a]},{omega.ctx.fibers[b]}] depends on "
+                        f"{g.name(omega.ctx)}")
+
+
+@st.composite
+def orthogonal_matrices(draw, max_size=4):
+    """Exactly orthogonal rational matrices: a signed permutation matrix
+    times up to three Pythagorean rotations in coordinate planes.  With
+    probability one half one entry is then moved by a small rational, which
+    mostly, not always, breaks orthogonality."""
+    n = draw(st.integers(1, max_size))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    matrix = [[Fraction(signs[i]) if j == perm[i] else Fraction(0) for j in range(n)]
+              for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        cos, sin = draw(st.sampled_from(PYTHAGOREAN))
+        for row in matrix:
+            row[a], row[b] = cos * row[a] - sin * row[b], sin * row[a] + cos * row[b]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        step = draw(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-4, 5), Fraction(1, 25))))
+        matrix[i][j] += step if draw(st.booleans()) else -2 * matrix[i][j]
+    return matrix
+
+
+@st.composite
+def near_skew_omegas(draw):
+    """Skew structure matrices on 2 to 4 fibers with order-zero entries,
+    each with at most one defect at a drawn (a, b), possibly diagonal:
+    entry (a, b) alone gains a constant or a fiber, which breaks skewness,
+    or it gains x or a first jet, and entry (b, a) the opposite term or
+    none."""
+    m = draw(st.integers(2, 4))
+    ctx = BundleSpec(("x",), tuple(f"u{a + 1}" for a in range(m)))
+    pool = [Poly.const(ctx, 1)] + [Poly.generator(ctx, Generator.jet(a)) for a in range(m)]
+    entries = [[Poly.zero(ctx)] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            entry = Poly.sum(ctx, (draw(st.sampled_from(pool)) * draw(st.integers(-2, 2))
+                                   for _ in range(draw(st.integers(0, 2)))))
+            entries[a][b], entries[b][a] = entry, -entry
+    a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    defect = draw(st.sampled_from(("none", "skew", "base", "jet")))
+    if defect == "skew":
+        entries[a][b] = entries[a][b] + draw(st.sampled_from(pool))
+    elif defect != "none":
+        term = (Poly.generator(ctx, Generator.base(0)) if defect == "base" else
+                Poly.generator(ctx, Generator.jet(draw(st.integers(0, m - 1)),
+                                                  MultiIndex((0,)))))
+        entries[a][b] = entries[a][b] + term
+        if draw(st.booleans()):
+            entries[b][a] = entries[b][a] - term
+    return OmegaSpec(ctx, tuple(tuple(row) for row in entries))
 
 
 def assert_canonical(p):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 
 import pytest
 
@@ -502,6 +503,25 @@ class TestExitCodes:
         path.write_text(PLANE_MODEL + "let P = " + "-" * 3000 + "u1*u2\n", encoding="utf-8")
         code, out, _ = invoke("euler", str(path), "P")
         assert (code, out) == (0, "E[u1] = u2\nE[u2] = u1\n")
+
+    def test_numbers_of_any_length(self, invoke, models):
+        # coefficients past the interpreter's 4,300-digit limit on int/str
+        # conversion print in full, as results and as residuals
+        big = 2 ** 15000
+        derivative = f"{Decimal(15000 * big)}*u1^14999*u1_x"
+        residual = f"-{Decimal(big)}*u1^15000 + {Decimal(big)}*u2^15000"
+        text = f"fail\nelement[1]: {residual}\nelement[3]: {residual}\n"
+        payload = {"command": "check invariance", "pass": False, "results": [],
+                   "residuals": [{"location": f"element[{k}]", "expression": residual}
+                                 for k in (1, 3)]}
+        td = ("td", models["std"], "x", "(2*u1)^15000")
+        invariance = ("check", "invariance", models["std"], "C4", "(2*u1)^15000")
+        assert invoke(*td) == (0, derivative + "\n", "")
+        assert invoke("--json", *td) == (0, json.dumps({
+            "command": "td", "pass": True, "results": [{"name": "", "expression": derivative}],
+            "residuals": []}) + "\n", "")
+        assert invoke(*invariance) == (1, text, "")
+        assert invoke("--json", *invariance) == (1, json.dumps(payload) + "\n", "")
 
     def test_deep_parentheses_rejected(self, invoke, models):
         code, out, err = invoke("euler", models["std"], "(" * 1200 + "u1" + ")" * 1200)

@@ -7,6 +7,7 @@ import pytest
 from jetcalc import (
     BundleSpec,
     Generator,
+    Monomial,
     MultiIndex,
     ParseError,
     Poly,
@@ -170,6 +171,14 @@ class TestRoundTrip:
             p = p * Fraction(1, rng.choice([1, 2, 3, 5]))
             text = render_expr(p)
             assert parse_expr(text, ctx) == p
+
+    def test_numbers_of_any_length(self, ctx2):
+        # past the interpreter's 4,300-digit limit on int/str conversion
+        p = parse_expr("1/3*(2*u1)^15000 - (3/7*u2)^15000 + 5^15000", ctx2)
+        assert p.coefficient(Monomial(((Generator.jet(1), 15000),))) == -Fraction(3, 7) ** 15000
+        assert parse_expr(render_expr(p), ctx2) == p
+        exponent = "1" + "0" * 4400
+        assert render_expr(parse_expr(f"u1^{exponent}*u2", ctx2)) == f"u1^{exponent}*u2"
 
     def test_render_is_canonical(self, ctx1):
         rng = helpers.seeded(17)

@@ -8,11 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import jetcalc.poisson
 from jetcalc import (
+    Automorphism,
     BundleSpec,
     ChartMismatch,
+    DegreeError,
     EntryNotOrderZero,
+    FiniteGroupAction,
     FunctionalClass,
     Generator,
+    HorizontalForm,
     JetcalcError,
     MissingDeclaration,
     ModelFile,
@@ -21,12 +25,14 @@ from jetcalc import (
     OmegaSpec,
     Poly,
     bracket,
+    check_covariance,
     check_poisson_tensor,
     cyclic_sum,
     is_divergence,
     jacobiator,
     l2_density,
     parse_expr,
+    pullback,
     total_derivative,
     validate_omega,
 )
@@ -65,17 +71,66 @@ class TestOmegaSpec:
             OmegaSpec(ctx1, ((z1, z1), (z2, z1)))
 
     def test_errors_are_typed(self, ctx1, ctx2, omega_std):
-        # the user-caused errors are JetcalcErrors that stay ValueErrors
+        # the user-caused errors are JetcalcErrors that stay ValueErrors; an
+        # operand over another chart raises ChartMismatch at every site
         one, other = Poly.const(ctx1, 1), parse_expr("u1", ctx2)
+        here, there = Automorphism.identity(ctx1), Automorphism.identity(ctx2)
+        form = HorizontalForm.scalar(one)
+        sigma1 = sigma_bundle(1)
         calls = [lambda: OmegaSpec(ctx1, ((one,),)),
                  lambda: OmegaSpec(ctx1, ((one, one), (other, one))),
                  lambda: l2_density(other, other, omega_std),
                  lambda: jacobiator(other, other, other, omega_std),
+                 lambda: Poly.sum(ctx1, (one, other)),
+                 lambda: one * other,
+                 lambda: one.substitute({Generator.jet(0): other}),
+                 lambda: HorizontalForm(ctx1, 0, {(): other}),
+                 lambda: form + HorizontalForm.scalar(other),
+                 lambda: Automorphism(ctx1, here.psi, (one, other)),
+                 lambda: here.compose(there),
+                 lambda: pullback(other, here),
+                 lambda: check_covariance(omega_std, there),
+                 lambda: FiniteGroupAction((here, there)),
+                 lambda: SigmaModelSpec(1, ((Poly.zero(ctx1),),), ctx1),
+                 lambda: SigmaModelSpec(1, ((Poly.zero(ctx1),),), sigma1),
                  ModelFile(ctx1).require_omega, ModelFile(ctx1).require_sigma]
-        for call, error in zip(calls, [ChartMismatch] * 4 + [MissingDeclaration] * 2):
+        messages = ["omega must be 2x2 to match the fibers", "omega entry over a different chart",
+                    "density over a different chart than omega",
+                    "density over a different chart than omega",
+                    "polynomials over different bundle charts",
+                    "polynomials over different bundle charts",
+                    "replacement polynomial over a different chart",
+                    "coefficient over a different chart",
+                    "cannot add forms of different degree or chart",
+                    "psi_inv entry over a different chart", "automorphisms over different charts",
+                    "polynomial over a different chart", "automorphism over a different chart",
+                    "group elements over different charts",
+                    "bundle does not match the generated sigma chart",
+                    "structure entry over a different chart",
+                    "the model declares no structure matrix (omega)",
+                    "the model declares no sigma block"]
+        for call, error, message in zip(calls, [ChartMismatch] * 16 + [MissingDeclaration] * 2,
+                                        messages, strict=True):
             with pytest.raises(error) as info:
                 call()
+            assert str(info.value) == message
             assert isinstance(info.value, JetcalcError) and isinstance(info.value, ValueError)
+        # a degree mismatch over one chart stays a DegreeError
+        with pytest.raises(DegreeError, match="^cannot add forms of different degree or chart$"):
+            form + HorizontalForm.density(one)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(helpers.near_skew_omegas())
+    def test_validate_matches_row_major_reference(self, omega):
+        # the upper triangle alone finds the first failure of a full pass
+        def outcome(validate):
+            try:
+                validate(omega)
+            except (NonSkew, EntryNotOrderZero) as error:
+                return type(error), str(error)
+            return None
+
+        assert outcome(validate_omega) == outcome(helpers.reference_validate_omega)
 
     def test_validate_accepts_standard(self, omega_std, omega_so3, omega_affine):
         validate_omega(omega_std)

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+import jetcalc.sigma
 from jetcalc import (
+    Automorphism,
     NonSkew,
     NotOrthogonal,
     Poly,
@@ -27,6 +30,8 @@ from jetcalc import (
     sigma_euler_check,
 )
 from jetcalc.sigma import FACTOR_NOTE
+
+import helpers
 
 SO3_ROWS = (("0", "u3", "-u2"), ("-u3", "0", "u1"), ("u2", "-u1", "0"))
 SYMPLECTIC_ROWS = (("0", "1"), ("-1", "0"))
@@ -137,6 +142,23 @@ class TestEulerCheck:
         for A in range(3):
             assert components[A] * 2 == contracted_curvature(spec3, A)
 
+    def test_doubled_curvature_report(self, spec1, spec3, monkeypatch):
+        # a wrong curvature fails the u-block with each component's residual
+        curvature = jetcalc.sigma.contracted_curvature
+        monkeypatch.setattr(jetcalc.sigma, "contracted_curvature",
+                            lambda spec, A: curvature(spec, A) * 2)
+        results = (("w_block", "exact"), ("u_block_vs_half_curvature", "mismatch"),
+                   ("u_block_vs_displayed_curvature", "factor 2 off"))
+        for spec, residuals in (
+                (spec1, [("E[u1]", "w10_x1 - w11_x0")]),
+                (spec3, [("E[u1]", "-w20*w31 + w30*w21 + w10_x1 - w11_x0"),
+                         ("E[u2]", "w10*w31 - w30*w11 + w20_x1 - w21_x0"),
+                         ("E[u3]", "-w10*w21 + w20*w11 + w30_x1 - w31_x0")])):
+            report = sigma_euler_check(spec)
+            assert not report.passed
+            assert report.results == results
+            assert [(where, str(p)) for where, p in report.residuals] == residuals
+
     def test_one_field_components(self, spec1):
         ctx = spec1.bundle
         components = euler(ikeda_lagrangian(spec1))
@@ -160,6 +182,29 @@ class TestOrthogonalAction:
     def test_rejects_wrong_size(self, spec2):
         with pytest.raises(ValueError):
             orthogonal_action(spec2, ((1,),))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(helpers.orthogonal_matrices())
+    def test_matches_fraction_loop(self, matrix):
+        # the pullback proof rejects exactly the matrices the N^3 loop rejects,
+        # at the same entry, and every map it returns is a valid automorphism
+        spec = SigmaModelSpec.from_strings(len(matrix), [["0"] * len(matrix)] * len(matrix))
+        message = helpers.reference_orthogonality(matrix)
+        if message is not None:
+            with pytest.raises(NotOrthogonal) as info:
+                orthogonal_action(spec, matrix)
+            assert str(info.value) == message
+            return
+        auto = orthogonal_action(spec, matrix)
+        Automorphism(spec.bundle, auto.psi, auto.psi_inv)
+
+    def test_no_second_validation(self, spec3, monkeypatch):
+        calls = []
+        validate = Automorphism.__post_init__
+        monkeypatch.setattr(Automorphism, "__post_init__",
+                            lambda auto: calls.append(auto) or validate(auto))
+        orthogonal_action(spec3, ROT_3D)
+        assert calls == []
 
     def test_action_on_fields(self, spec2):
         ctx = spec2.bundle
