@@ -18,11 +18,10 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .dsl import ParseError, render_expr
+from .dsl import render_expr
 from .kernel import CheckReport, JetcalcError
-from .modelfile import _split_top, _strip, load_model
+from .modelfile import _rational_matrix, load_model
 from .poisson import check_poisson_tensor, jacobiator, l2_density
 from .shlie import check_shlie_relations, l3
 from .sigma import check_lagrangian_invariance, sigma_euler_check
@@ -31,32 +30,6 @@ from .symmetry import (check_canonical_density, check_covariance, check_el_trans
                        group_average)
 from .varcalc import (HorizontalForm, NotExact, d_h, euler, invert_total_derivative,
                       total_derivative)
-
-
-def _rational_matrix(text: str) -> list[list[Fraction]]:
-    text, offset = _strip(text, 0)
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", offset)
-    rows = []
-    for row_text, row_offset in _split_top(text[1:-1], offset + 1, ","):
-        if not row_text:
-            continue
-        if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise ParseError(f"expected a bracketed row, got {row_text!r}", row_offset)
-        row = []
-        for cell, cell_offset in _split_top(row_text[1:-1], row_offset + 1, ","):
-            if not cell:
-                continue
-            try:
-                # Fraction also reads non-ASCII decimal digits; numbers in
-                # this language, as in expressions, are ASCII only.
-                if not cell.isascii():
-                    raise ValueError(cell)
-                row.append(Fraction(cell))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"expected a rational number, got {cell!r}", cell_offset) from None
-        rows.append(row)
-    return rows
 
 
 def _resolve(model, field: str, args):

@@ -8,11 +8,11 @@ Grammar (whitespace insignificant)::
     primary  := rational | name | "(" expr ")"     (at most MAX_NESTING deep)
     rational := int ("/" posint)?
 
-Names resolve against a :class:`~jetcalc.kernel.BundleSpec`: a bare identifier
-is a base direction, a fiber (its order-zero jet) or a parameter; a fiber name
-followed by ``_`` and a word over direction names is a jet coordinate, e.g.
-``u1_xy``.  The suffix word is a multiset, so ``u1_yx`` parses to the same
-generator as ``u1_xy``.
+Names resolve through :meth:`~jetcalc.kernel.BundleSpec.resolve`, which owns
+the naming scheme: a bare identifier is a base direction, a fiber (its
+order-zero jet) or a parameter; a fiber name followed by ``_`` and a word over
+direction names is a jet coordinate, e.g. ``u1_xy``.  The suffix word is a
+multiset, so ``u1_yx`` parses to the same generator as ``u1_xy``.
 
 Rendering is the exact inverse on canonical forms: terms in descending
 graded-lex order, factors sorted by the generator order, rational
@@ -24,15 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .kernel import (
-    BundleSpec,
-    Generator,
-    JetcalcError,
-    Monomial,
-    MultiIndex,
-    Poly,
-    UnknownName,
-)
+from .kernel import BundleSpec, JetcalcError, Monomial, Poly, UnknownName
 
 
 class ParseError(JetcalcError):
@@ -52,17 +44,17 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, offset: int) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", offset + pos)
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+            tokens.append((m.lastgroup, m.group(), offset + pos))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", offset + len(text)))
     return tokens
 
 
@@ -78,30 +70,18 @@ def _exact(convert, value):
         return convert(Decimal(value))
 
 
-def _resolve_name(name: str, pos: int, ctx: BundleSpec) -> Generator:
-    if "_" not in name:
-        try:
-            return ctx.resolve(name)
-        except UnknownName:
-            raise UnknownName(name, pos) from None
-    stem, _, suffix = name.partition("_")
-    if stem not in ctx.fibers or not suffix:
-        raise UnknownName(name, pos)
-    try:
-        entries = ctx.split_suffix(suffix)
-    except UnknownName:
-        raise UnknownName(name, pos) from None
-    return Generator.jet(ctx.fiber_index(stem), MultiIndex(entries))
-
-
 # Each nesting level costs four Python frames (expr, term, factor, primary),
 # so this bound keeps the recursive descent far below the interpreter's limit.
 MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: BundleSpec):
-        self.tokens = _tokenize(text)
+    """Recursive descent over the grammar above.  `offset` is the position of
+    `text` in its source: the tokenizer adds it to every token's position, so
+    every ParseError and UnknownName is absolute where it is raised."""
+
+    def __init__(self, text: str, ctx: BundleSpec, offset: int):
+        self.tokens = _tokenize(text, offset)
         self.ctx = ctx
         self.i = 0
         self.depth = 0
@@ -177,7 +157,10 @@ class _Parser:
                 value = Fraction(value, self.posint())
             return Poly.const(self.ctx, value)
         if kind == "name":
-            g = _resolve_name(text, pos, self.ctx)
+            try:
+                g = self.ctx.resolve(text)
+            except UnknownName:
+                raise UnknownName(text, pos) from None
             return Poly.generator(self.ctx, g)
         if kind == "op" and text == "(":
             if self.depth == MAX_NESTING:
@@ -190,9 +173,11 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
-def parse_expr(text: str, ctx: BundleSpec) -> Poly:
-    """Parse an expression over the chart's names into a canonical Poly."""
-    return _Parser(text, ctx).parse()
+def parse_expr(text: str, ctx: BundleSpec, offset: int = 0) -> Poly:
+    """Parse an expression over the chart's names into a canonical Poly.
+    `offset` is the position of `text` in its source, such as a model file:
+    a ParseError or UnknownName reports its position from there."""
+    return _Parser(text, ctx, offset).parse()
 
 
 def _render_monomial(mono: Monomial, ctx: BundleSpec) -> str:

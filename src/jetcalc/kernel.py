@@ -50,7 +50,8 @@ class UnknownName(JetcalcError):
         super().__init__(f"unknown name {name!r}{where}")
 
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+# A declared name; model files build their statement patterns from it.
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 Scalar = Union[int, Fraction]
 
@@ -95,7 +96,7 @@ class BundleSpec:
             raise ValueError("at least one fiber is required")
         names = list(self.base_dims) + list(self.fibers) + list(self.params)
         for name in names:
-            if not _IDENT.match(name):
+            if not _IDENT.fullmatch(name):
                 raise ValueError(
                     f"bad name {name!r}: names are letters and digits, starting "
                     "with a letter (underscore is reserved for jet suffixes)"
@@ -133,13 +134,22 @@ class BundleSpec:
             raise UnknownName(name) from None
 
     def resolve(self, name: str) -> "Generator":
-        """Map a bare identifier to its generator, or raise UnknownName."""
+        """Map a name to its generator, or raise UnknownName: a base direction,
+        a fiber (its order-zero jet), a parameter, or a fiber name, ``_`` and a
+        word over the directions decoded by `split_suffix`, e.g. ``u1_xy``
+        (or ``u1_yx``, the same generator).  The inverse of `Generator.name`."""
         if name in self._dir_pos:
             return Generator.base(self._dir_pos[name])
         if name in self._fiber_pos:
             return Generator.jet(self._fiber_pos[name], EMPTY_INDEX)
         if name in self._param_pos:
             return Generator.param(self._param_pos[name])
+        stem, _, word = name.partition("_")
+        if stem in self._fiber_pos and word:
+            try:
+                return Generator.jet(self._fiber_pos[stem], MultiIndex(self.split_suffix(word)))
+            except UnknownName:
+                pass
         raise UnknownName(name)
 
     def split_suffix(self, word: str) -> tuple[int, ...]:

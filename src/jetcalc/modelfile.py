@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable
 
 from .dsl import ParseError, parse_expr
-from .kernel import BundleSpec, JetcalcError, Poly, UnknownName
+from .kernel import _IDENT, BundleSpec, JetcalcError, Poly, UnknownName
 from .poisson import OmegaSpec, validate_omega
 from .sigma import SigmaModelSpec, build_sigma, sigma_bundle
 from .symmetry import Automorphism, FiniteGroupAction
 
 _OPEN = "([{"
 _CLOSE = ")]}"
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
 def _blank_comments(text: str) -> str:
@@ -83,7 +83,7 @@ def _parse_name_list(text: str, offset: int) -> list[str]:
         return []
     names = []
     for name, off in _split_top(inner, inner_off, ","):
-        if not _NAME.match(name):
+        if not _IDENT.fullmatch(name):
             raise ParseError(f"expected a name, got {name!r}", off)
         names.append(name)
     return names
@@ -116,15 +116,6 @@ def _read_block(text: str, offset: int, head: str, readers: dict[str, Callable[[
     return values, where
 
 
-def _parse_expr_at(text: str, offset: int, ctx: BundleSpec) -> Poly:
-    try:
-        return parse_expr(text, ctx)
-    except ParseError as exc:
-        raise ParseError(exc.message, offset + exc.position) from None
-    except UnknownName as exc:
-        raise UnknownName(exc.name, offset + (exc.position or 0)) from None
-
-
 def _parse_matrix(text: str, offset: int, ctx: BundleSpec) -> tuple[tuple[Poly, ...], ...]:
     inner, inner_off = _unbracket(text, offset)
     rows = []
@@ -134,9 +125,44 @@ def _parse_matrix(text: str, offset: int, ctx: BundleSpec) -> tuple[tuple[Poly, 
         for cell, off in _split_top(row_inner, cell_off, ","):
             if not cell:
                 raise ParseError("empty matrix entry", off)
-            row.append(_parse_expr_at(cell, off, ctx))
+            row.append(parse_expr(cell, ctx, off))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _rational_matrix(text: str) -> list[list[Fraction]]:
+    text, offset = _strip(text, 0)
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", offset)
+    rows = []
+    for row_text, row_offset in _split_top(text[1:-1], offset + 1, ","):
+        if not row_text:
+            continue
+        if not (row_text.startswith("[") and row_text.endswith("]")):
+            raise ParseError(f"expected a bracketed row, got {row_text!r}", row_offset)
+        row = []
+        for cell, cell_offset in _split_top(row_text[1:-1], row_offset + 1, ","):
+            if not cell:
+                continue
+            try:
+                # Fraction also reads non-ASCII decimal digits; numbers in
+                # this language, as in expressions, are ASCII only.
+                if not cell.isascii():
+                    raise ValueError(cell)
+                row.append(Fraction(cell))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"expected a rational number, got {cell!r}", cell_offset) from None
+        rows.append(row)
+    return rows
+
+
+def _checked(offset: int, build: Callable, *args, prefix: str = ""):
+    """build(*args), a ValueError from it reported as a ParseError at the
+    statement's `offset`, its message behind `prefix`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(f"{prefix}{exc}", offset) from None
 
 
 class MissingDeclaration(JetcalcError, ValueError):
@@ -225,12 +251,8 @@ class _ModelParser:
                                "expected base/fibers/params = [...]")
         if "base" not in names or "fibers" not in names:
             raise ParseError("bundle needs both base and fibers", offset)
-        try:
-            bundle = BundleSpec(tuple(names["base"]), tuple(names["fibers"]),
-                                tuple(names.get("params", ())))
-        except ValueError as exc:
-            raise ParseError(str(exc), offset) from None
-        self.model = ModelFile(bundle)
+        self.model = ModelFile(_checked(offset, BundleSpec, tuple(names["base"]),
+                                        tuple(names["fibers"]), tuple(names.get("params", ()))))
 
     def stmt_omega(self, text: str, offset: int):
         model = self.require_chart(offset)
@@ -240,23 +262,20 @@ class _ModelParser:
         if not eq:
             raise ParseError("expected omega = [[...], ...]", offset)
         matrix = _parse_matrix(value, offset + text.index("=") + 1, model.bundle)
-        try:
-            omega = OmegaSpec(model.bundle, matrix)
-        except ValueError as exc:
-            raise ParseError(str(exc), offset) from None
+        omega = _checked(offset, OmegaSpec, model.bundle, matrix)
         validate_omega(omega)
         model.omega = omega
 
     def stmt_let(self, text: str, offset: int):
-        m = re.match(r"let\s+([A-Za-z][A-Za-z0-9]*)\s*=\s*(.*)\Z", text, re.DOTALL)
+        m = re.match(r"let\s+(" + _IDENT.pattern + r")\s*=\s*(.*)\Z", text, re.DOTALL)
         if m is None:
             raise ParseError("expected let NAME = expression", offset)
         name = m.group(1)
         model = self.require_fresh(name, offset)
-        model.definitions[name] = _parse_expr_at(m.group(2), offset + m.start(2), model.bundle)
+        model.definitions[name] = parse_expr(m.group(2), model.bundle, offset + m.start(2))
 
     def stmt_auto(self, text: str, offset: int):
-        m = re.match(r"auto\s+([A-Za-z][A-Za-z0-9]*)\s*\{(.*)\}\Z", text, re.DOTALL)
+        m = re.match(r"auto\s+(" + _IDENT.pattern + r")\s*\{(.*)\}\Z", text, re.DOTALL)
         if m is None:
             raise ParseError("expected auto NAME { ... }", offset)
         name = m.group(1)
@@ -267,10 +286,8 @@ class _ModelParser:
             raise ParseError("an automorphism needs an inv { ... } block", inner_off)
         psi = self._parse_mappings(split.group(1), inner_off, model.bundle)
         psi_inv = self._parse_mappings(split.group(2), inner_off + split.start(2), model.bundle)
-        try:
-            model.automorphisms[name] = Automorphism(model.bundle, psi, psi_inv)
-        except ValueError as exc:
-            raise ParseError(f"invalid automorphism {name!r}: {exc}", offset) from None
+        model.automorphisms[name] = _checked(offset, Automorphism, model.bundle, psi, psi_inv,
+                                             prefix=f"invalid automorphism {name!r}: ")
 
     def _parse_mappings(self, text: str, offset: int, ctx: BundleSpec) -> tuple[Poly, ...]:
         images: dict[int, Poly] = {}
@@ -286,14 +303,14 @@ class _ModelParser:
             a = ctx.fiber_index(fiber)
             if a in images:
                 raise ParseError(f"duplicate mapping for {fiber!r}", off)
-            images[a] = _parse_expr_at(value, off + piece.index("->") + 2, ctx)
+            images[a] = parse_expr(value, ctx, off + piece.index("->") + 2)
         missing = [ctx.fibers[a] for a in range(ctx.m) if a not in images]
         if missing:
             raise ParseError(f"missing mappings for {', '.join(missing)}", offset)
         return tuple(images[a] for a in range(ctx.m))
 
     def stmt_group(self, text: str, offset: int):
-        m = re.match(r"group\s+([A-Za-z][A-Za-z0-9]*)\s*=\s*(\[.*\])\Z", text, re.DOTALL)
+        m = re.match(r"group\s+(" + _IDENT.pattern + r")\s*=\s*(\[.*\])\Z", text, re.DOTALL)
         if m is None:
             raise ParseError("expected group NAME = [autoA, ...]", offset)
         name = m.group(1)
@@ -303,10 +320,8 @@ class _ModelParser:
             if member not in model.automorphisms:
                 raise UnknownName(member, offset)
             members.append(model.automorphisms[member])
-        try:
-            model.groups[name] = FiniteGroupAction(tuple(members))
-        except ValueError as exc:
-            raise ParseError(f"invalid group {name!r}: {exc}", offset) from None
+        model.groups[name] = _checked(offset, FiniteGroupAction, tuple(members),
+                                      prefix=f"invalid group {name!r}: ")
 
     def stmt_sigma(self, text: str, offset: int):
         if self.model is not None:
@@ -323,10 +338,7 @@ class _ModelParser:
         n_fields = int(n_text)
         chart = sigma_bundle(n_fields)
         matrix = _parse_matrix(*raw["w"], chart)
-        try:
-            spec = SigmaModelSpec(n_fields, matrix, chart)
-        except ValueError as exc:
-            raise ParseError(str(exc), offset) from None
+        spec = _checked(offset, SigmaModelSpec, n_fields, matrix, chart)
         self.model = ModelFile(*build_sigma(spec), sigma=spec)
 
 
@@ -336,5 +348,6 @@ def parse_model(text: str) -> ModelFile:
 
 
 def load_model(path: str) -> ModelFile:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse a model file; positions count from after a byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_model(handle.read())

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dsl import parse_expr
-from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, Monomial, MultiIndex,
-                     Poly, _same_chart)
+from .kernel import (BundleSpec, ChartMismatch, CheckReport, Generator, JetcalcError, Monomial,
+                     MultiIndex, Poly, _same_chart)
 from .poisson import NonSkew, OmegaSpec
 from .symmetry import Automorphism, pullback
 from .varcalc import euler
@@ -47,14 +47,18 @@ class NotOrthogonal(JetcalcError):
     """The supplied matrix is not exactly orthogonal."""
 
 
-def sigma_bundle(n_fields: int) -> BundleSpec:
-    """The chart for N fields over base (x0, x1): fibers u*, w*0, w*1."""
+def _sigma_names(n_fields: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Base, fiber and parameter names of the chart for N fields."""
     if n_fields < 1:
         raise ValueError("at least one field is required")
-    fields = [f"u{A + 1}" for A in range(n_fields)]
-    w0 = [f"w{A + 1}0" for A in range(n_fields)]
-    w1 = [f"w{A + 1}1" for A in range(n_fields)]
-    return BundleSpec(("x0", "x1"), tuple(fields + w0 + w1))
+    fibers = (tuple(f"u{A}" for A in range(1, n_fields + 1))
+              + tuple(f"w{A}{mu}" for mu in "01" for A in range(1, n_fields + 1)))
+    return ("x0", "x1"), fibers, ()
+
+
+def sigma_bundle(n_fields: int) -> BundleSpec:
+    """The chart for N fields over base (x0, x1): fibers u*, w*0, w*1."""
+    return BundleSpec(*_sigma_names(n_fields))
 
 
 def _u_pos(A: int) -> int:
@@ -67,7 +71,12 @@ def _w_pos(n_fields: int, A: int, mu: int) -> int:
 
 @dataclass(frozen=True)
 class SigmaModelSpec:
-    """N fields with a skew structure matrix in the fields alone."""
+    """N fields with a skew structure matrix in the fields alone.
+
+    `bundle` must be the chart of `sigma_bundle(n_fields)`.  Its names are
+    compared with the ones `sigma_bundle` would give it, so checking a chart
+    does not build a second one.
+    """
 
     n_fields: int
     w: tuple[tuple[Poly, ...], ...]
@@ -75,7 +84,9 @@ class SigmaModelSpec:
 
     def __post_init__(self):
         N = self.n_fields
-        _same_chart(sigma_bundle(N), self.bundle, "bundle does not match the generated sigma chart")
+        ctx = self.bundle
+        if (ctx.base_dims, ctx.fibers, ctx.params) != _sigma_names(N):
+            raise ChartMismatch("bundle does not match the generated sigma chart")
         if len(self.w) != N or any(len(row) != N for row in self.w):
             raise ValueError(f"structure matrix must be {N}x{N}")
         for A in range(N):

@@ -498,6 +498,12 @@ class TestExitCodes:
                                    capture_output=True, text=True)
             assert invoke(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
+    def test_model_after_byte_order_mark(self, invoke, models, tmp_path):
+        path = tmp_path / "marked.jet"
+        path.write_text("\ufeff" + STD_MODEL, encoding="utf-8")
+        assert invoke("euler", str(path), "P1") == invoke("euler", models["std"], "P1")
+        assert invoke("euler", str(path), "P1")[0] == 0
+
     def test_long_unary_minus_run(self, invoke, tmp_path):
         path = tmp_path / "minus.jet"
         path.write_text(PLANE_MODEL + "let P = " + "-" * 3000 + "u1*u2\n", encoding="utf-8")

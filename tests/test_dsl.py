@@ -91,6 +91,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_expr("u1 ** 2", ctx1)
 
+    @pytest.mark.parametrize("text, error, position", [
+        ("u1 $ 2", ParseError, 3), ("u1 +", ParseError, 4), ("(u1", ParseError, 3),
+        ("u1 u2", ParseError, 3), ("u1 + zz", UnknownName, 5), ("", ParseError, 0)])
+    def test_offset_shifts_every_position(self, ctx1, text, error, position):
+        # `offset` places the text in its source, such as a model file
+        with pytest.raises(error) as err:
+            parse_expr(text, ctx1, 40)
+        assert err.value.position == 40 + position
+        assert parse_expr("u1*u2", ctx1, 40) == parse_expr("u1*u2", ctx1)
+
     def test_nesting_bound(self, ctx1):
         u1 = parse_expr("u1", ctx1)
         deepest = "(" * MAX_NESTING + "u1" + ")" * MAX_NESTING

@@ -76,11 +76,19 @@ class TestBundleSpec:
         with pytest.raises(ValueError):
             BundleSpec(("x", "xy"), ("u1",))
 
-    def test_resolve(self, ctx1):
+    def test_resolve(self, ctx1, ctx2):
         assert ctx1.resolve("x") == Generator.base(0)
         assert ctx1.resolve("u2") == gen_u(ctx1, 1)
         with pytest.raises(UnknownName):
             ctx1.resolve("v")
+        # jet names: the suffix word is a multiset over the directions
+        u1_xy = Generator.jet(0, MultiIndex((0, 1)))
+        assert ctx2.resolve("u1_yx") == ctx2.resolve("u1_xy") == u1_xy
+        assert ctx2.resolve(u1_xy.name(ctx2)) == u1_xy
+        for name in ("u1_", "u1_xz", "x_x", "v_x"):
+            with pytest.raises(UnknownName) as err:
+                ctx2.resolve(name)
+            assert (err.value.name, err.value.position) == (name, None)
 
     def test_resolve_param(self):
         ctx = BundleSpec(("x",), ("u1",), params=("c",))

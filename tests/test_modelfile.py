@@ -75,6 +75,17 @@ class TestFullModel:
         path.write_text(FULL_MODEL, encoding="utf-8")
         assert load_model(str(path)).get_group("C4").order == 4
 
+    def test_load_model_after_byte_order_mark(self, tmp_path):
+        # some editors start a UTF-8 file with U+FEFF; positions count after it
+        path = tmp_path / "model.jet"
+        path.write_text("\ufeff" + FULL_MODEL, encoding="utf-8")
+        assert load_model(str(path)).get_group("C4").order == 4
+        text = "bundle { base = [x]; fibers = [u1] } # chart\nlet Q = u1_x*zz"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        with pytest.raises(UnknownName) as err:
+            load_model(str(path))
+        assert str(err.value) == f"unknown name 'zz' at position {text.index('zz')}"
+
 
 class TestStatementSyntax:
     def test_semicolon_separation(self):
@@ -91,6 +102,24 @@ class TestStatementSyntax:
     @given(st.text(alphabet="#\n\r[];u1 ", max_size=40))
     def test_blank_comments_matches_reference(self, text):
         assert _blank_comments(text) == helpers.reference_blank_comments(text)
+
+    _COMMENT = st.text(alphabet="[]{}();,-> xinv", max_size=12).map(lambda t: f"#{t}\n")
+    _PREFIX = st.lists(st.one_of(st.sampled_from(["\n", ";", "  "]), _COMMENT),
+                       max_size=6).map("".join)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_PREFIX, _PREFIX, st.sampled_from([
+        "let P = u1 + zz*u2_x",
+        "omega = [[0, zz], [-zz, 0]]",
+        "auto A { u1 -> u2, u2 -> 3*zz inv { u1 -> u2, u2 -> u1 } }",
+        "auto A { u1 -> u2, u2 -> u1 inv { u1 -> u2, u2 -> u1 - zz^2 } }",
+    ]))
+    def test_unknown_name_position_behind_any_prefix(self, before, between, statement):
+        text = f"{before}bundle {{ base = [x]; fibers = [u1, u2] }}\n{between}{statement}\n"
+        with pytest.raises(UnknownName) as err:
+            parse_model(text)
+        assert err.value.position == text.index("zz")
+        assert str(err.value) == f"unknown name 'zz' at position {text.index('zz')}"
 
     def test_expression_error_position(self):
         text = "bundle { base = [x]; fibers = [u1] }\nlet P = u1 + "
@@ -293,6 +322,18 @@ class TestSigmaStatement:
         omega = model.require_omega()
         assert omega.entry(0, 1) == parse_expr("u1", model.bundle)
         assert omega.entry(2, 3) == parse_expr("u1", model.bundle)
+
+    def test_builds_one_chart(self, monkeypatch):
+        charts = []
+        post_init = BundleSpec.__post_init__
+        monkeypatch.setattr(BundleSpec, "__post_init__",
+                            lambda self: charts.append(self) or post_init(self))
+        model = parse_model("sigma { n = 2; w = [[0, u1], [-u1, 0]] }")
+        assert charts == [model.bundle]
+        charts.clear()
+        with pytest.raises(ParseError, match="structure matrix must be 3x3"):
+            parse_model("sigma { n = 3; w = [[0]] }")
+        assert len(charts) == 1
 
     def test_key_order_free(self):
         model = parse_model("sigma { w = [[0, 1], [-1, 0]]; n = 2 }")
