@@ -21,7 +21,7 @@ import sys
 
 from .dsl import render_expr
 from .kernel import CheckReport, JetcalcError
-from .modelfile import _rational_matrix, load_model
+from .modelfile import load_model
 from .poisson import check_poisson_tensor, jacobiator, l2_density
 from .shlie import check_shlie_relations, l3
 from .sigma import check_lagrangian_invariance, sigma_euler_check
@@ -44,7 +44,7 @@ def _resolve(model, field: str, args):
     if field == "direction":
         return model.bundle.direction_index(text)
     if field == "matrix":
-        return _rational_matrix(text)
+        return model.resolve_matrix(text)
     return model.resolve_density(text)
 
 
@@ -57,12 +57,13 @@ def _dh(f):
 # function called with the fields' values in order; "check NAME" is the
 # subcommand NAME of `check`.  Each field after the model file is one argument,
 # resolved by its name: `auto` names an automorphism, `group` a group,
-# `direction` a base direction and `matrix` is a rational matrix literal; any
-# other field (`p`, `q`, `r`, `expr`, `density`) is a density, a `let` name or
-# an inline expression.  The fields `omega` and `sigma` are not arguments:
-# they take the model's structure matrix or sigma block, and stand first, so
-# a model without one is reported before any argument is looked up.  Fields
-# are resolved in order, which decides the error reported first.
+# `direction` a base direction and `matrix` is a matrix of constants read as a
+# model-file matrix; any other field (`p`, `q`, `r`, `expr`, `density`) is a
+# density, a `let` name or an inline expression.  The fields `omega` and
+# `sigma` are not arguments: they take the model's structure matrix or sigma
+# block, and stand first, so a model without one is reported before any
+# argument is looked up.  Fields are resolved in order, which decides the
+# error reported first.
 # Style "check" functions return a CheckReport, printed as a pass/fail verdict
 # first; the others return (name, Poly) rows, printed as `name = expression`
 # lines ("named") or as expressions alone ("bare").  Residual lines always

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable
 
 from .dsl import ParseError, parse_expr
-from .kernel import _IDENT, BundleSpec, JetcalcError, Poly, UnknownName
+from .kernel import _IDENT, BundleSpec, JetcalcError, Poly, Scalar, UnknownName
 from .poisson import OmegaSpec, validate_omega
 from .sigma import SigmaModelSpec, build_sigma, sigma_bundle
 from .symmetry import Automorphism, FiniteGroupAction
@@ -77,15 +76,15 @@ def _unbracket(text: str, offset: int) -> tuple[str, int]:
     return text[1:-1], offset + 1
 
 
-def _parse_name_list(text: str, offset: int) -> list[str]:
+def _parse_name_list(text: str, offset: int) -> list[tuple[str, int]]:
+    """The names of ``[a, b, ...]``, each with its offset in the source."""
     inner, inner_off = _unbracket(text, offset)
     if not inner.strip():
         return []
-    names = []
-    for name, off in _split_top(inner, inner_off, ","):
+    names = _split_top(inner, inner_off, ",")
+    for name, off in names:
         if not _IDENT.fullmatch(name):
             raise ParseError(f"expected a name, got {name!r}", off)
-        names.append(name)
     return names
 
 
@@ -116,7 +115,10 @@ def _read_block(text: str, offset: int, head: str, readers: dict[str, Callable[[
     return values, where
 
 
-def _parse_matrix(text: str, offset: int, ctx: BundleSpec) -> tuple[tuple[Poly, ...], ...]:
+def _parse_matrix(text: str, offset: int,
+                  read_cell: Callable[[str, int], Any]) -> tuple[tuple[Any, ...], ...]:
+    """The rows of ``[[a, b], [c, d]]``, each cell read by `read_cell(cell,
+    its offset)`."""
     inner, inner_off = _unbracket(text, offset)
     rows = []
     for row_text, row_off in _split_top(inner, inner_off, ","):
@@ -125,35 +127,9 @@ def _parse_matrix(text: str, offset: int, ctx: BundleSpec) -> tuple[tuple[Poly, 
         for cell, off in _split_top(row_inner, cell_off, ","):
             if not cell:
                 raise ParseError("empty matrix entry", off)
-            row.append(parse_expr(cell, ctx, off))
+            row.append(read_cell(cell, off))
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _rational_matrix(text: str) -> list[list[Fraction]]:
-    text, offset = _strip(text, 0)
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]", offset)
-    rows = []
-    for row_text, row_offset in _split_top(text[1:-1], offset + 1, ","):
-        if not row_text:
-            continue
-        if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise ParseError(f"expected a bracketed row, got {row_text!r}", row_offset)
-        row = []
-        for cell, cell_offset in _split_top(row_text[1:-1], row_offset + 1, ","):
-            if not cell:
-                continue
-            try:
-                # Fraction also reads non-ASCII decimal digits; numbers in
-                # this language, as in expressions, are ASCII only.
-                if not cell.isascii():
-                    raise ValueError(cell)
-                row.append(Fraction(cell))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"expected a rational number, got {cell!r}", cell_offset) from None
-        rows.append(row)
-    return rows
 
 
 def _checked(offset: int, build: Callable, *args, prefix: str = ""):
@@ -185,6 +161,16 @@ class ModelFile:
         if name_or_expr in self.definitions:
             return self.definitions[name_or_expr]
         return parse_expr(name_or_expr, self.bundle)
+
+    def resolve_matrix(self, text: str) -> tuple[tuple[Scalar, ...], ...]:
+        """A matrix literal, such as ``[[3/5, 4/5], [-4/5, 3/5]]``, read as a
+        model-file matrix over the chart whose every entry is a constant."""
+        def rational(cell: str, offset: int) -> Scalar:
+            entry = parse_expr(cell, self.bundle, offset)
+            if entry.generators():
+                raise ParseError(f"expected a rational number, got {cell!r}", offset)
+            return entry.constant_term()
+        return _parse_matrix(text, 0, rational)
 
     def get_automorphism(self, name: str) -> Automorphism:
         try:
@@ -251,8 +237,9 @@ class _ModelParser:
                                "expected base/fibers/params = [...]")
         if "base" not in names or "fibers" not in names:
             raise ParseError("bundle needs both base and fibers", offset)
-        self.model = ModelFile(_checked(offset, BundleSpec, tuple(names["base"]),
-                                        tuple(names["fibers"]), tuple(names.get("params", ()))))
+        base, fibers, params = (tuple(name for name, _ in names.get(key, ()))
+                                for key in ("base", "fibers", "params"))
+        self.model = ModelFile(_checked(offset, BundleSpec, base, fibers, params))
 
     def stmt_omega(self, text: str, offset: int):
         model = self.require_chart(offset)
@@ -261,7 +248,8 @@ class _ModelParser:
         _, eq, value = text.partition("=")
         if not eq:
             raise ParseError("expected omega = [[...], ...]", offset)
-        matrix = _parse_matrix(value, offset + text.index("=") + 1, model.bundle)
+        matrix = _parse_matrix(value, offset + text.index("=") + 1,
+                               lambda cell, at: parse_expr(cell, model.bundle, at))
         omega = _checked(offset, OmegaSpec, model.bundle, matrix)
         validate_omega(omega)
         model.omega = omega
@@ -316,9 +304,9 @@ class _ModelParser:
         name = m.group(1)
         model = self.require_fresh(name, offset)
         members = []
-        for member in _parse_name_list(m.group(2), offset + m.start(2)):
+        for member, at in _parse_name_list(m.group(2), offset + m.start(2)):
             if member not in model.automorphisms:
-                raise UnknownName(member, offset)
+                raise UnknownName(member, at)
             members.append(model.automorphisms[member])
         model.groups[name] = _checked(offset, FiniteGroupAction, tuple(members),
                                       prefix=f"invalid group {name!r}: ")
@@ -337,7 +325,7 @@ class _ModelParser:
             raise ParseError("n must be a positive integer", where["n"])
         n_fields = int(n_text)
         chart = sigma_bundle(n_fields)
-        matrix = _parse_matrix(*raw["w"], chart)
+        matrix = _parse_matrix(*raw["w"], lambda cell, at: parse_expr(cell, chart, at))
         spec = _checked(offset, SigmaModelSpec, n_fields, matrix, chart)
         self.model = ModelFile(*build_sigma(spec), sigma=spec)
 

@@ -56,18 +56,20 @@ class OmegaSpec:
 def validate_omega(omega: OmegaSpec) -> None:
     """Check skewness and order-zero fiber dependence of every entry, once
     per pair (a, b), a <= b: a skew pair's entries have the same generators,
-    so the first failure is that of a pass over every ordered pair."""
-    m = omega.ctx.m
-    for a in range(m):
-        for b in range(a, m):
-            if omega.entry(a, b) != -omega.entry(b, a):
-                names = (omega.ctx.fibers[a], omega.ctx.fibers[b])
-                raise NonSkew(f"omega[{names[0]},{names[1]}] != -omega[{names[1]},{names[0]}]")
-            for g in omega.entry(a, b).generators():
+    so the first failure is that of a pass over every ordered pair.  A pair
+    of zero entries cannot fail and is skipped."""
+    entries, fibers = omega.entries, omega.ctx.fibers
+    for a, row in enumerate(entries):
+        for b in range(a, len(row)):
+            upper, lower = row[b], entries[b][a]
+            if not upper and not lower:
+                continue
+            x, y = fibers[a], fibers[b]
+            if upper != -lower:
+                raise NonSkew(f"omega[{x},{y}] != -omega[{y},{x}]")
+            for g in upper.generators():
                 if g.is_base or (g.is_jet and g.order > 0):
-                    raise EntryNotOrderZero(
-                        f"omega[{omega.ctx.fibers[a]},{omega.ctx.fibers[b]}] depends on "
-                        f"{g.name(omega.ctx)}")
+                    raise EntryNotOrderZero(f"omega[{x},{y}] depends on {g.name(omega.ctx)}")
 
 
 def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
@@ -82,14 +84,17 @@ def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
 def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
     """Verify the cyclic condition on every fiber triple a < b < c.
 
-    Each failing triple is reported at `(a,b,c)` with its cyclic sum, in
-    increasing order.  The cyclic sum is totally antisymmetric in (a, b, c)
-    for a skew matrix and vanishes on repeated indices, so these triples
-    decide the condition.  A summand omega^{zd} d(omega^{xy})/du^d vanishes
-    unless omega^{zd} is nonzero and omega^{xy} contains u^d, so one pass
-    over the upper triangle finds the only triples {x, y, z} that can fail;
-    every other triple has only zero summands and is skipped.
+    `OmegaSpec` does not enforce skewness, on which this check relies, so
+    `validate_omega` runs first: an inadmissible matrix raises its NonSkew or
+    EntryNotOrderZero.  Each failing triple is reported at `(a,b,c)` with its
+    cyclic sum, in increasing order.  The cyclic sum is totally antisymmetric
+    in (a, b, c) for a skew matrix and vanishes on repeated indices, so these
+    triples decide the condition.  A summand omega^{zd} d(omega^{xy})/du^d
+    vanishes unless omega^{zd} is nonzero and omega^{xy} contains u^d, so one
+    pass over the upper triangle finds the only triples {x, y, z} that can
+    fail; every other triple has only zero summands and is skipped.
     """
+    validate_omega(omega)
     m, fibers = omega.ctx.m, omega.ctx.fibers
     containing = [[] for _ in range(m)]     # d -> the pairs x < y with u^d in omega^{xy}
     rows = [[] for _ in range(m)]           # d -> the z with omega^{zd} != 0

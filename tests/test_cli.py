@@ -351,26 +351,40 @@ class TestChecks:
         assert "M M^T" in err
         assert invoke("check", "sigma-invariance", models["sigma"], "nonsense")[0] == 2
 
+    # The matrix literal is read as a model-file matrix: a malformed one is
+    # reported as `omega = ...` would report it, at the same offset.  Numbers
+    # are the expression language's, with no decimals, exponents or digit
+    # separators, and a chart name is no constant.
     @pytest.mark.parametrize("matrix, message", [
-        ("nonsense", "expected a bracketed matrix like [[3/5, 4/5], [-4/5, 3/5]]"
-                     " (at position 0)"),
-        ("[[1, 0, 0], 0, [0, 0, 1]]", "expected a bracketed row, got '0' (at position 12)"),
-        ("[[1, 0, 0], [0, a, 0], [0, 0, 1]]",
-         "expected a rational number, got 'a' (at position 16)"),
-        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1/0]]",
-         "expected a rational number, got '1/0' (at position 30)"),
-        ("[[1, 0, 0], [0, 1, x], [0, 0, 1]]",
-         "expected a rational number, got 'x' (at position 19)"),
+        ("nonsense", "expected [...] (at position 0)"),
+        ("[[1, 0, 0], 0, [0, 0, 1]]", "expected [...] (at position 12)"),
+        ("[[1, 0, 0], [0, a, 0], [0, 0, 1]]", "unknown name 'a' at position 16"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1/0]]", "expected a positive integer (at position 32)"),
+        ("[[1, 0, 0], [0, 1, x], [0, 0, 1]]", "unknown name 'x' at position 19"),
         ("[[1, 0, 0], [0, 1, 0]], [0, 0, 1]]", "unbalanced bracket (at position 21)"),
         ("[[\u0661, 0, 0], [0, 1, 0], [0, 0, 1]]",
-         "expected a rational number, got '\u0661' (at position 2)"),
+         "unexpected character '\u0661' (at position 2)"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1],]", "expected [...] (at position 33)"),
+        ("[[1, , 0], [0, 1, 0], [0, 0, 1]]", "empty matrix entry (at position 5)"),
+        ("[[1, 0, 0], [0, 0.6, 0], [0, 0, 1]]", "unexpected character '.' (at position 17)"),
+        ("[[1, 0, 0], [0, 1_0, 0], [0, 0, 1]]", "unexpected character '_' (at position 17)"),
+        ("[[1, 0, 0], [0, 1e0, 0], [0, 0, 1]]", "unexpected 'e0' (at position 17)"),
+        ("[[1, 0, 0], [0, u1, 0], [0, 0, 1]]",
+         "expected a rational number, got 'u1' (at position 16)"),
+        ("[[1, 0, 0], [0, x0, 0], [0, 0, 1]]",
+         "expected a rational number, got 'x0' (at position 16)"),
     ])
     def test_sigma_invariance_matrix_syntax(self, invoke, models, matrix, message):
-        assert invoke("check", "sigma-invariance", models["sigma"], matrix) == (
-            2, "", f"error: {message}\n")
+        argv = ("check", "sigma-invariance", models["sigma"], matrix)
+        assert invoke(*argv) == (2, "", f"error: {message}\n")
+        code, out, err = invoke("--json", *argv)
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {
+            "command": "check sigma-invariance", "pass": False, "results": [],
+            "residuals": [{"location": "error", "expression": message}]}
 
     def test_sigma_invariance_matrix_tolerates_blanks(self, invoke, models):
-        identity = " [[1, 0, 0], [ 0, 1, 0 ], [0, 0, 1],] "
+        identity = " [[1, 0, 0], [ 0, 1, 0 ], [0, 0, 1]] "
         assert invoke("check", "sigma-invariance", models["sigma"], identity) == (0, "pass\n", "")
 
 

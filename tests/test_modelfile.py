@@ -1,5 +1,6 @@
 """Model file parsing: declarations, errors, positions."""
 
+from fractions import Fraction
 import textwrap
 
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,35 @@ class TestFullModel:
         assert model.resolve_density("u1^3") == parse_expr("u1^3", ctx)
         with pytest.raises(UnknownName):
             model.resolve_density("P9")
+
+    def test_resolve_matrix(self):
+        model = parse_model(FULL_MODEL)
+        assert model.resolve_matrix("[[3/5, 4/5], [-4/5, 3/5]]") == (
+            (Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
+        # an entry is any constant expression over the chart
+        assert model.resolve_matrix("[[2*3/4 - 1, u1 - u1]]") == ((Fraction(1, 2), 0),)
+        with pytest.raises(ParseError) as err:
+            model.resolve_matrix("[[1, 0], [0, u1_x]]")
+        assert str(err.value) == "expected a rational number, got 'u1_x' (at position 13)"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_resolve_matrix_reads_fractions(self, data):
+        # signed integers and p/q read as Fraction reads them, blanks anywhere
+        blank = st.sampled_from(["", " ", "  ", "\t", "\n"])
+        cell = st.tuples(st.sampled_from(["", "-"]), st.integers(0, 10**20).map(str),
+                         st.sampled_from(["", "/1", "/3", "/10", "/987654321"])).map("".join)
+        n = data.draw(st.integers(1, 4))
+        row = st.lists(cell, min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+
+        def spaced(items):
+            return "[" + ",".join(data.draw(blank) + x + data.draw(blank) for x in items) + "]"
+
+        literal = spaced(spaced(row) for row in rows)
+        model = parse_model(FULL_MODEL)
+        assert model.resolve_matrix(literal) == tuple(
+            tuple(Fraction(c) for c in row) for row in rows)
 
     def test_lookup_errors(self):
         model = parse_model(FULL_MODEL)
@@ -471,7 +501,9 @@ _INV = "inv { u1 -> u2, u2 -> u1 }"
     pytest.param(_B2 + "group G [Id]", ParseError,
                  "expected group NAME = [autoA, ...] (at position 41)", id="group-syntax"),
     pytest.param(_B2 + "group G = [Missing]", UnknownName,
-                 "unknown name 'Missing' at position 41", id="group-unknown-member"),
+                 "unknown name 'Missing' at position 52", id="group-unknown-member"),
+    pytest.param(_B2 + _ID + "group G = [Id, Missing]", UnknownName,
+                 "unknown name 'Missing' at position 114", id="group-unknown-later-member"),
     pytest.param(_B2 + _ID + "group G = [Id, Id]", ParseError,
                  "invalid group 'G': duplicate group element (at position 99)",
                  id="group-invalid"),

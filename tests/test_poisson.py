@@ -179,6 +179,16 @@ class TestPoissonCheck:
                 for a in range(m) for b in range(m) for c in range(m))
             assert all_vanish == check_poisson_tensor(omega).passed
 
+    def test_inadmissible_matrix_raises(self, ctx3):
+        # the scan reads the upper triangle only and assumes skewness, which
+        # OmegaSpec does not enforce; this matrix's upper triangle is zero
+        z, u1, u2, u3 = (parse_expr(t, ctx3) for t in ("0", "u1", "u2", "u3"))
+        with pytest.raises(NonSkew, match=r"^omega\[u1,u2\] != -omega\[u2,u1\]$"):
+            check_poisson_tensor(OmegaSpec(ctx3, ((z, z, z), (u3, z, z), (u2, u1, z))))
+        with pytest.raises(EntryNotOrderZero, match=r"^omega\[u1,u2\] depends on u3_x$"):
+            check_poisson_tensor(omega_from(ctx3, (("0", "u3_x", "0"), ("-u3_x", "0", "0"),
+                                                   ("0", "0", "0"))))
+
     def test_cyclic_sum_total_antisymmetry(self, omega_so3, omega_bad_jacobi):
         sign = {p: 1 for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]}
         sign.update({p: -1 for p in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]})
@@ -398,6 +408,26 @@ class TestFunctionalClass:
             rhs = FunctionalClass(-bracket(q, p, omega_std).density)
             assert lhs == rhs
 
+
+    def test_class_ignores_total_derivatives(self, ctx1):
+        rng = helpers.seeded(381)
+        for _ in range(10):
+            p, g = helpers.random_poly(rng, ctx1), helpers.random_poly(rng, ctx1)
+            assert FunctionalClass(p) == FunctionalClass(p + total_derivative(g, 0))
+        # u1*u2 is no divergence: its Euler components are u2 and u1
+        assert FunctionalClass(parse_expr("u1^2*u2_x", ctx1)) != FunctionalClass(
+            parse_expr("u1^2*u2_x + u1*u2", ctx1))
+
+    def test_bracket_jacobi_on_classes(self, ctx3, omega_so3):
+        # so(3) is a Poisson tensor: the cyclic sum of nested brackets is the
+        # zero class, while none of the nested brackets is
+        f, g, h = (FunctionalClass(parse_expr(text, ctx3))
+                   for text in ("u1*u2_x + u3^2", "u2*u3_x", "u1^2*u3"))
+        cyclic = [bracket(bracket(x, y, omega_so3), z, omega_so3)
+                  for x, y, z in ((f, g, h), (g, h, f), (h, f, g))]
+        total = FunctionalClass(Poly.sum(ctx3, (c.density for c in cyclic)))
+        assert total == FunctionalClass(Poly.zero(ctx3))
+        assert not all(c == FunctionalClass(Poly.zero(ctx3)) for c in cyclic)
 
 class TestJacobiator:
     def test_golden(self, ctx1, omega_std):
