@@ -383,6 +383,31 @@ def _common_den(terms: dict[Monomial, int], den: int, other: int) -> tuple[int, 
     return common, common // other
 
 
+def _max_order(terms: Iterable[Monomial]) -> int:
+    """Largest jet order |I| occurring in a term map (0 if none)."""
+    return max((g.order for mono in terms for g, _ in mono.powers), default=0)
+
+
+def _lowered(powers: tuple, i: int, g: Generator, e: int) -> Monomial:
+    """`powers` with g^e, held at index i by the walk, lowered by one."""
+    middle = ((g, e - 1),) if e > 1 else ()
+    return Monomial._canonical(powers[:i] + middle + powers[i + 1:])
+
+
+def _derive_into(out: dict, terms: dict, image: Callable[[Generator], Monomial | None],
+                 scale: int) -> dict[Monomial, int]:
+    """Add to `out`, and return, `scale` times the derivation g -> image(g)
+    (zero where None) of `terms`: g^e gives e * g^(e-1) * image(g)."""
+    for mono, c in terms.items():
+        powers = mono.powers
+        c *= scale
+        for i, (g, e) in enumerate(powers):
+            m = image(g)
+            if m is not None:
+                _accumulate(out, _lowered(powers, i, g, e).times(m), c * e)
+    return out
+
+
 # Packed exponents (Monagan and Pearce, CASC 2007): a monomial over a sorted
 # tuple of generators is one integer, generator i holding its exponent in
 # bits [i*w, (i+1)*w).  When no monomial of a computation, intermediate or
@@ -607,7 +632,7 @@ class Poly:
 
     def max_order(self) -> int:
         """Largest jet order |I| occurring in the polynomial (0 if none)."""
-        return max((g.order for mono in self._terms for g, _ in mono.powers), default=0)
+        return _max_order(self._terms)
 
     def total_degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
@@ -711,15 +736,8 @@ class Poly:
 
     def derivation(self, image: Callable[[Generator], Monomial | None]) -> "Poly":
         """Apply the derivation sending each generator g to the monomial
-        image(g), or to zero when image(g) is None, in one pass over the
-        terms: each power g^e contributes e * g^(e-1) * image(g)."""
-        terms: dict[Monomial, int] = {}
-        for mono, c in self._terms.items():
-            for g, e in mono.powers:
-                m = image(g)
-                if m is not None:
-                    _accumulate(terms, mono.with_exponent(g, e - 1).times(m), c * e)
-        return Poly._reduced(self.ctx, terms, self._den)
+        image(g), or to zero where that is None (`_derive_into`)."""
+        return Poly._reduced(self.ctx, _derive_into({}, self._terms, image, 1), self._den)
 
     def substitute(self, mapping: Mapping[Generator, "Poly"]) -> "Poly":
         """Simultaneously replace generators by polynomials.

@@ -155,7 +155,12 @@ def jacobiator(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> Poly:
     """
     for density in (p, q, r):
         _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
-    ep, eq, er = euler(p), euler(q), euler(r)
+    return _jacobiator(euler(p), euler(q), euler(r), omega)
+
+
+def _jacobiator(ep: tuple[Poly, ...], eq: tuple[Poly, ...], er: tuple[Poly, ...],
+                omega: OmegaSpec) -> Poly:
+    """The Jacobiator from the Euler components of its three densities."""
     pq, pr, qr = (euler(_pairing(x, y, omega)) for x, y in ((ep, eq), (ep, er), (eq, er)))
     return Poly.sum(omega.ctx, (_pairing(pq, er, omega), -_pairing(pr, eq, omega),
                                 _pairing(qr, ep, omega)))

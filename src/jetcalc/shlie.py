@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kernel import CheckReport, Poly
-from .poisson import OmegaSpec, jacobiator, l2_density
-from .varcalc import DegreeError, HorizontalForm, Unsupported, d_h, homotopy_s
+from .kernel import CheckReport, Poly, _same_chart
+from .poisson import OmegaSpec, _jacobiator, _pairing, jacobiator, l2_density
+from .varcalc import DegreeError, HorizontalForm, Unsupported, d_h, euler, homotopy_s
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,25 @@ def check_shlie_relations(omega: OmegaSpec,
     For each pair (f, g): l2 of the density f against d_h of the degree-1
     element carried by g must vanish.  For each triple (p, q, r) over a
     one-dimensional base: the Jacobiator plus d_h of l3 must vanish.  Nonzero
-    residuals are reported at `pair[k]` and `triple[k]`.  Each triple's
-    Jacobiator is computed once, with each Euler component computed once,
-    and l3 is the homotopy applied to that same Jacobiator.
+    residuals are reported at `pair[k]` and `triple[k]`.  Each distinct
+    density's Euler components are computed once per call, each triple's
+    Jacobiator once, and l3 is the homotopy applied to that Jacobiator.
     """
     if triples and omega.ctx.n != 1:
         raise Unsupported("l3 is implemented over a one-dimensional base")
+    components: dict[Poly, tuple[Poly, ...]] = {}
+
+    def euler_once(density: Poly) -> tuple[Poly, ...]:
+        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
+        return components.get(density) or components.setdefault(density, euler(density))
+
     residuals: list[tuple[str, Poly]] = []
     for k, (f, g) in enumerate(pairs):
         form = g if isinstance(g, HorizontalForm) else HorizontalForm.scalar(g)
-        residual = l2(GradedElement.density(f), l1(GradedElement(1, form)), omega)
-        residuals.append((f"pair[{k}]", residual.form.density_coefficient()))
+        dg = l1(GradedElement(1, form)).form.density_coefficient()
+        residuals.append((f"pair[{k}]", _pairing(euler_once(f), euler_once(dg), omega)))
     for k, (p, q, r) in enumerate(triples):
-        jac = jacobiator(p, q, r, omega)
+        jac = _jacobiator(euler_once(p), euler_once(q), euler_once(r), omega)
         correction = d_h(homotopy_s(HorizontalForm.density(jac))).density_coefficient()
         residuals.append((f"triple[{k}]", jac + correction))
     return CheckReport.of(residuals)

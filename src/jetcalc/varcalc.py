@@ -21,7 +21,8 @@ multi-indices: with
     T(I) = dP/du^a_I - sum over j >= last(I) of D_j T(I+j),
 
 E_a(P) = T(()), so each occurring nonempty prefix costs one total derivative
-instead of one per multi-index it prefixes.
+instead of one per multi-index it prefixes.  The fold runs on integer
+numerators over P's denominator, and each component is reduced once.
 
 A polynomial density over a one-dimensional base is a total derivative if and
 only if all its Euler components vanish; `invert_total_derivative` produces
@@ -31,10 +32,10 @@ the preimage in that case by peeling one jet order at a time.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .kernel import (UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex, Poly,
-                     _same_chart)
+from .kernel import (_JET, UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex,
+                     Poly, _common_den, _derive_into, _lowered, _max_order, _same_chart)
 
 
 class DegreeError(JetcalcError):
@@ -57,6 +58,19 @@ def _direction(ctx: BundleSpec, direction: int | str) -> int:
     return direction
 
 
+def _lift(i: int) -> Callable[[Generator], Monomial | None]:
+    """The image map of D_i: x^i to 1, u^a_J to u^a_{J+i}, others to zero."""
+    images: dict[Generator, Monomial] = {Generator.base(i): UNIT}
+
+    def image(g: Generator) -> Monomial | None:
+        m = images.get(g)
+        if m is None and g.kind == _JET:
+            m = images[g] = Monomial._canonical(((Generator.jet(g.pos, g.index.extended(i)), 1),))
+        return m
+
+    return image
+
+
 def total_derivative(p: Poly, direction: int | str) -> Poly:
     """Apply the total derivative D_i, raising each jet order by one.
 
@@ -64,16 +78,7 @@ def total_derivative(p: Poly, direction: int | str) -> Poly:
     applied in one walk over the terms, with each lifted jet coordinate
     built once per call.
     """
-    i = _direction(p.ctx, direction)
-    lifts: dict[Generator, Monomial] = {Generator.base(i): UNIT}
-
-    def image(g: Generator) -> Monomial | None:
-        m = lifts.get(g)
-        if m is None and g.is_jet:
-            m = lifts[g] = Monomial(((Generator.jet(g.pos, g.index.extended(i)), 1),))
-        return m
-
-    return p.derivation(image)
+    return p.derivation(_lift(_direction(p.ctx, direction)))
 
 
 def iterated_total_derivative(p: Poly, index: MultiIndex) -> Poly:
@@ -213,21 +218,24 @@ def euler(p: Poly) -> tuple[Poly, ...]:
     component is E_a = T(()).  Each sorted multi-index I is reached from ()
     along exactly one path, appending entries in increasing order, so the
     sign is (-1)^|I| as in the definition, and each occurring nonempty
-    prefix costs one total derivative.
+    prefix costs one D_j, subtracted in place from the map of its parent.
     """
     ctx = p.ctx
-    buckets: list[dict[tuple[int, ...], list[Poly]]] = [{} for _ in range(ctx.m)]
-    for g in p.generators():
-        if g.is_jet:
-            buckets[g.pos][g.index] = [p.partial(g)]
+    buckets: list[dict[tuple[int, ...], dict[Monomial, int]]] = [{} for _ in range(ctx.m)]
+    for mono, c in p._terms.items():
+        powers = mono.powers
+        for i, (g, e) in enumerate(powers):
+            if g.kind == _JET:
+                buckets[g.pos].setdefault(g.index, {})[_lowered(powers, i, g, e)] = c * e
+    lifts = [_lift(j) for j in range(ctx.n)]
     components = []
     for bucket in buckets:
         for k in range(max(map(len, bucket), default=0), 0, -1):
             for index in [index for index in bucket if len(index) == k]:
-                t = Poly.sum(ctx, bucket.pop(index))
+                t = bucket.pop(index)
                 if t:
-                    bucket.setdefault(index[:-1], []).append(-total_derivative(t, index[-1]))
-        components.append(Poly.sum(ctx, bucket.get((), ())))
+                    _derive_into(bucket.setdefault(index[:-1], {}), t, lifts[index[-1]], -1)
+        components.append(Poly._reduced(ctx, bucket.get((), {}), p._den))
     return tuple(components)
 
 
@@ -243,33 +251,36 @@ def invert_total_derivative(h: Poly) -> Poly:
     coordinates, and the coefficient of u^a_k is dg/du^a_{k-1}, which is
     antidifferentiated and stripped one fiber at a time.  The terminal
     remainder must be a polynomial in x alone.  The result is normalised to
-    zero constant term.  Raises NotExact when any stage fails.
+    zero constant term.  Raises NotExact when any stage fails.  The remainder
+    is one integer map over a running common denominator, as in `Poly.sum`,
+    and each D_x(piece) is subtracted from it in place.
     """
     ctx = h.ctx
     if ctx.n != 1:
         raise Unsupported("invert_total_derivative requires a one-dimensional base")
     pieces = []
-    current = h
-    while not current.is_zero:
-        k = current.max_order()
+    terms, den = dict(h._terms), h._den
+    while terms:
+        k = _max_order(terms)
         if k == 0:
-            if any(g.is_jet for g in current.generators()):
+            if any(g.kind == _JET for mono in terms for g, _ in mono.powers):
                 raise NotExact("terminal remainder still depends on fiber coordinates")
-            pieces.append(current.antiderivative(Generator.base(0)))
+            pieces.append(Poly._reduced(ctx, terms, den).antiderivative(Generator.base(0)))
             break
         for a in range(ctx.m):
-            top = Generator.jet(a, MultiIndex((0,) * k))
-            coeff = current.partial(top)
-            if coeff.is_zero:
+            coeff = _derive_into({}, terms, {Generator.jet(a, MultiIndex((0,) * k)): UNIT}.get, 1)
+            if not coeff:
                 continue
             # Stripping D(piece) adds only terms affine in order k, so a
             # non-affine term is still here when its first fiber comes up.
-            if coeff.max_order() == k:
+            if _max_order(coeff) == k:
                 raise NotExact(f"not affine-linear in jet coordinates of order {k}")
-            piece = coeff.antiderivative(Generator.jet(a, MultiIndex((0,) * (k - 1))))
+            piece = Poly._reduced(ctx, coeff, den).antiderivative(
+                Generator.jet(a, MultiIndex((0,) * (k - 1))))
             pieces.append(piece)
-            current = current - total_derivative(piece, 0)
-        if not current.is_zero and current.max_order() >= k:
+            den, scale = _common_den(terms, den, piece._den)
+            _derive_into(terms, piece._terms, _lift(0), -scale)
+        if terms and _max_order(terms) >= k:
             raise NotExact(f"integrability failure at jet order {k}")
     result = Poly.sum(ctx, pieces)
     return result - Poly.const(ctx, result.constant_term())

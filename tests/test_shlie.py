@@ -5,6 +5,7 @@ import pytest
 import jetcalc.poisson
 import jetcalc.shlie
 from jetcalc import (
+    CheckReport,
     DegreeError,
     GradedElement,
     HorizontalForm,
@@ -150,22 +151,48 @@ class TestCheckRelations:
         assert report.passed
 
     def test_one_jacobiator_per_triple(self, ctx1, omega_std, monkeypatch):
+        # The check builds each Jacobiator from Euler components it computes
+        # itself (shlie's `euler`) and the inner brackets' (poisson's).
         jacobiators, eulers = [], []
-        jac, euler = jetcalc.shlie.jacobiator, jetcalc.poisson.euler
-        monkeypatch.setattr(jetcalc.shlie, "jacobiator",
+        jac, euler = jetcalc.shlie._jacobiator, jetcalc.poisson.euler
+        monkeypatch.setattr(jetcalc.shlie, "_jacobiator",
                             lambda *args: jacobiators.append(args) or jac(*args))
-        monkeypatch.setattr(jetcalc.poisson, "euler", lambda p: eulers.append(p) or euler(p))
+        for module in (jetcalc.shlie, jetcalc.poisson):
+            monkeypatch.setattr(module, "euler", lambda p: eulers.append(p) or euler(p))
         rng = helpers.seeded(505)
         triples = [tuple(helpers.random_poly(rng, ctx1) for _ in range(3)) for _ in range(4)]
         assert check_shlie_relations(omega_std, triples=triples).passed
         assert len(jacobiators) == 4
         assert len(eulers) == 6 * 4
 
+    def test_each_density_once_per_call(self, ctx1, omega_std, monkeypatch):
+        # The arguments of `check shlie P1 P2 P3`: the distinct densities are
+        # p, q, r, D_x q, D_x r and the three inner brackets, 8 of the 12
+        # `euler` calls that separate l2 and Jacobiator calls make.
+        eulers = []
+        euler = jetcalc.poisson.euler
+        for module in (jetcalc.shlie, jetcalc.poisson):
+            monkeypatch.setattr(module, "euler", lambda p: eulers.append(p) or euler(p))
+        rng = helpers.seeded(506)
+        p, q, r = (helpers.random_poly(rng, ctx1) for _ in range(3))
+        pairs = [(p, q), (p, r), (q, r)]
+        report = check_shlie_relations(omega_std, triples=[(p, q, r)], pairs=pairs)
+        assert len(eulers) == 8
+        monkeypatch.undo()
+        expected = [(f"pair[{k}]", l2(GradedElement.density(f),
+                                      l1(GradedElement(1, HorizontalForm.scalar(g))),
+                                      omega_std).form.density_coefficient())
+                    for k, (f, g) in enumerate(pairs)]
+        jac = jacobiator(p, q, r, omega_std)
+        expected.append(("triple[0]", jac + d_h(l3(p, q, r, omega_std).form)
+                         .density_coefficient()))
+        assert report == CheckReport.of(expected)
+
     def test_two_dim_unsupported(self, ctx2, monkeypatch):
         # The base dimension is rejected before any Jacobiator is computed.
         jacobiators = []
-        jac = jetcalc.shlie.jacobiator
-        monkeypatch.setattr(jetcalc.shlie, "jacobiator",
+        jac = jetcalc.shlie._jacobiator
+        monkeypatch.setattr(jetcalc.shlie, "_jacobiator",
                             lambda *args: jacobiators.append(args) or jac(*args))
         omega = omega_from(ctx2, (("0", "1"), ("-1", "0")))
         u = parse_expr("u1", ctx2)

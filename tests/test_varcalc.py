@@ -10,6 +10,7 @@ import jetcalc.varcalc
 from jetcalc import (
     BundleSpec,
     DegreeError,
+    Generator,
     HorizontalForm,
     MultiIndex,
     NotExact,
@@ -221,14 +222,20 @@ class TestEuler:
 
     def test_one_total_derivative_per_prefix(self, ctx2, monkeypatch):
         # The nonempty prefixes of xxy, xy and yy are xxy, xx, x, xy, yy and y;
-        # each costs one D along its last direction.
+        # each costs one D along its last direction.  The fold applies D_j
+        # through the kernel's derivation walk; the direction of a call is
+        # the one base coordinate its image map sends to 1.
         calls = []
-        total = jetcalc.varcalc.total_derivative
-        monkeypatch.setattr(jetcalc.varcalc, "total_derivative",
-                            lambda p, i: calls.append(i) or total(p, i))
+        derive = jetcalc.varcalc._derive_into
+
+        def counting(out, terms, image, scale):
+            calls.append([i for i in range(ctx2.n) if image(Generator.base(i)) is not None])
+            return derive(out, terms, image, scale)
+
+        monkeypatch.setattr(jetcalc.varcalc, "_derive_into", counting)
         p = parse_expr("u1_xxy*u2 + u1_xy^2 + u2*u1_yy", ctx2)
         assert euler(p) == helpers.reference_euler(p)
-        assert sorted(calls) == [0, 0, 1, 1, 1, 1]
+        assert sorted(calls) == [[0], [0], [1], [1], [1], [1]]
 
     def test_is_divergence(self, ctx1):
         assert is_divergence(parse_expr("u1_x", ctx1))
@@ -265,6 +272,18 @@ class TestDefinitionalForms:
     @example(parse_expr("u1_xxyy*u2 + u1_xy*u1_yy*u2_xyyy + u2_xyz*u1_xyz", CTX3))
     def test_euler(self, p):
         assert euler(p) == helpers.reference_euler(p)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(helpers.densities(CTX3, 3, include_params=True),
+           helpers.densities(CTX3, 3, include_params=True),
+           st.integers(1, 12), st.integers(1, 12))
+    @example(parse_expr("1/2*u1_xy*u2_z + x*u1_xyz^2", CTX3),
+             parse_expr("2/3*y*u2_xz*u1_yy + u1_zz", CTX3), 5, 7)
+    def test_euler_three_dim_mixed_denominators(self, p, q, a, b):
+        # The fold keeps one denominator per component map: a sum over
+        # coprime denominators is reduced once, at the end.
+        density = p * Fraction(1, a) + q * Fraction(1, b)
+        assert euler(density) == helpers.reference_euler(density)
 
 
 class TestInvertTotalDerivative:
@@ -318,6 +337,22 @@ class TestInvertTotalDerivative:
     def test_two_dim_unsupported(self, ctx2):
         with pytest.raises(Unsupported):
             invert_total_derivative(parse_expr("u1_x", ctx2))
+
+    # Single terms that are not total derivatives: each has a nonzero Euler
+    # component.
+    NEAR_MISSES = ("u1", "x*u2", "u1*u2_x", "u1_x^2", "u1^2*u2_xx", "u1_xx^2*u2", "x*u1_x^2")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(helpers.densities(CHARTS[0], 3, include_params=True),
+           st.sampled_from(NEAR_MISSES), st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                                   st.integers(1, 6)))
+    @example(parse_expr("u1*u2_x", CHARTS[0]), "u1*u2_x", Fraction(-1))
+    def test_near_miss_not_exact(self, s, text, c):
+        """D_x S plus one term that is not a divergence has no preimage."""
+        h = total_derivative(s, 0) + parse_expr(text, s.ctx) * c
+        assert not is_divergence(h)
+        with pytest.raises(NotExact):
+            invert_total_derivative(h)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("exact", "perturbed", "random")))
