@@ -136,6 +136,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positional(argv: list[str]) -> list[str]:
+    """argv with "--" after the command words (`euler`, `check poisson`), so
+    that argparse reads every later argument as a positional one: a density
+    such as -u1*u2_x would otherwise read as an unknown option.  A -h or
+    --help there moves ahead of the "--" and still asks for help.  An argv
+    that already holds "--" is left as it is."""
+    words = [k for k, arg in enumerate(argv) if not arg.startswith("-")]
+    if "--" in argv or not words:
+        return argv
+    groups = {name.partition(" ")[0] for name in _COMMANDS if " " in name}
+    end = (words[1] if argv[words[0]] in groups and len(words) > 1 else words[0]) + 1
+    rest = argv[end:]
+    return (argv[:end] + [arg for arg in rest if arg in ("-h", "--help")] + ["--"]
+            + [arg for arg in rest if arg not in ("-h", "--help")])
+
+
 def _render(command: str, style: str, passed: bool, results, residuals,
             as_json: bool) -> str:
     """Text in the command's style, or the fixed JSON shape.  Result
@@ -159,7 +175,7 @@ _VALIDATION_ERRORS = (JetcalcError, ValueError, OSError)
 def run(argv: list[str]) -> int:
     """Parse arguments, execute one subcommand, print its report."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_positional(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command if args.command != "check" else f"check {args.kind}"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .kernel import BundleSpec, JetcalcError, Monomial, Poly, UnknownName
+from .kernel import BundleSpec, Generator, JetcalcError, Monomial, Poly, Scalar, UnknownName
 
 
 class ParseError(JetcalcError):
@@ -36,24 +36,22 @@ class ParseError(JetcalcError):
         super().__init__(f"{message} (at position {position})")
 
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>[0-9]+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()])"
-)
+# One match per token, leading whitespace skipped; `bad` catches any other
+# character, so one pass finds every token and the first bad character.
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str, offset: int) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("end", "", end position); an
+    operator's kind is the operator itself."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", offset + pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), offset + pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", offset + m.start(kind))
+        tokens.append((word if kind == "op" else kind, word, offset + m.start(kind)))
     tokens.append(("end", "", offset + len(text)))
     return tokens
 
@@ -70,15 +68,22 @@ def _exact(convert, value):
         return convert(Decimal(value))
 
 
-# Each nesting level costs four Python frames (expr, term, factor, primary),
-# so this bound keeps the recursive descent far below the interpreter's limit.
+# Each nesting level costs two Python frames (expr, term), so this bound
+# keeps the recursive descent far below the interpreter's limit.
 MAX_NESTING = 100
 
 
 class _Parser:
     """Recursive descent over the grammar above.  `offset` is the position of
     `text` in its source: the tokenizer adds it to every token's position, so
-    every ParseError and UnknownName is absolute where it is raised."""
+    every ParseError and UnknownName is absolute where it is raised.
+
+    `term` folds a product of atoms (numbers and names, each with an optional
+    power and any number of unary minuses) into one coefficient and one
+    monomial; only parenthesised factors go through `Poly` `*` and `**`.
+    `expr` gathers each run of atom terms into one `Poly.from_terms` and sums
+    the runs and the other terms with one `Poly.sum`, in their order in the
+    text, so the term map has the order that summing term by term gives."""
 
     def __init__(self, text: str, ctx: BundleSpec, offset: int):
         self.tokens = _tokenize(text, offset)
@@ -86,91 +91,104 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
-
     def parse(self) -> Poly:
         p = self.expr()
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
         return p
 
     def expr(self) -> Poly:
-        parts = [self.term()]
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                q = self.term()
-                parts.append(q if text == "+" else -q)
-            else:
-                return Poly.sum(self.ctx, parts)
-
-    def term(self) -> Poly:
-        p = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.advance()
-                p = p * self.factor()
-            else:
-                return p
-
-    def factor(self) -> Poly:
+        ctx = self.ctx
+        parts: list[Poly] = []
+        run: list[tuple[Monomial, Scalar]] = []
         negate = False
-        while self.peek()[:2] == ("op", "-"):
-            self.advance()
-            negate = not negate
-        p = self.primary()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            p = p ** self.posint()
-        return -p if negate else p
+        while True:
+            t = self.term(negate)
+            if isinstance(t, Poly):
+                if run:
+                    parts.append(Poly.from_terms(ctx, run))
+                    run = []
+                parts.append(t)
+            else:
+                run.append(t)
+            kind = self.tokens[self.i][0]
+            if kind != "+" and kind != "-":
+                break
+            self.i += 1
+            negate = kind == "-"
+        if run:
+            parts.append(Poly.from_terms(ctx, run))
+        return parts[0] if len(parts) == 1 else Poly.sum(ctx, parts)
+
+    def term(self, negate: bool) -> Poly | tuple[Monomial, Scalar]:
+        """A product of factors, negated if `negate`: a (monomial,
+        coefficient) pair while every factor is an atom, else a Poly."""
+        tokens = self.tokens
+        num, den = (-1 if negate else 1), 1
+        powers: dict[Generator, int] = {}
+        product = None          # of the parenthesised factors
+        while True:
+            kind, text, pos = tokens[self.i]
+            self.i += 1
+            while kind == "-":
+                num = -num
+                kind, text, pos = tokens[self.i]
+                self.i += 1
+            if kind == "num":
+                value, below = _exact(int, text), 1
+                if tokens[self.i][0] == "/":
+                    self.i += 1
+                    below = self.posint()
+                e = self.exponent()
+                num *= value ** e
+                den *= below ** e
+            elif kind == "name":
+                try:
+                    g = self.ctx.resolve(text)
+                except UnknownName:
+                    raise UnknownName(text, pos) from None
+                powers[g] = powers.get(g, 0) + self.exponent()
+            elif kind == "(":
+                if self.depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                self.depth += 1
+                p = self.expr()
+                if tokens[self.i][0] != ")":
+                    raise ParseError("expected ')'", tokens[self.i][2])
+                self.i += 1
+                self.depth -= 1
+                e = self.exponent()
+                p = p ** e if e > 1 else p
+                product = p if product is None else product * p
+            else:
+                raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input",
+                                 pos)
+            if tokens[self.i][0] != "*":
+                break
+            self.i += 1
+        mono = Monomial._canonical(tuple(sorted(powers.items())))
+        coeff = num if den == 1 else Fraction(num, den)
+        if product is None:
+            return mono, coeff
+        if powers or coeff != 1:
+            product = product * Poly.from_terms(self.ctx, ((mono, coeff),))
+        return product
+
+    def exponent(self) -> int:
+        """The power after a "^", or 1 if none follows."""
+        if self.tokens[self.i][0] != "^":
+            return 1
+        self.i += 1
+        return self.posint()
 
     def posint(self) -> int:
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         value = _exact(int, text) if kind == "num" else 0
         if value < 1:
             raise ParseError("expected a positive integer", pos)
-        self.advance()
+        self.i += 1
         return value
-
-    def primary(self) -> Poly:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            value = _exact(int, text)
-            k, t, _ = self.peek()
-            if k == "op" and t == "/":
-                self.advance()
-                value = Fraction(value, self.posint())
-            return Poly.const(self.ctx, value)
-        if kind == "name":
-            try:
-                g = self.ctx.resolve(text)
-            except UnknownName:
-                raise UnknownName(text, pos) from None
-            return Poly.generator(self.ctx, g)
-        if kind == "op" and text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            p = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return p
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
 def parse_expr(text: str, ctx: BundleSpec, offset: int = 0) -> Poly:

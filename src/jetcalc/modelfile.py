@@ -40,6 +40,11 @@ def _blank_comments(text: str) -> str:
     return re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
 
 
+# The characters `_split_top` visits, one class per separator set in use.
+_SPECIALS = {separators: re.compile("[" + re.escape(_OPEN + _CLOSE + separators) + "]")
+             for separators in (",", ";\n")}
+
+
 def _split_top(text: str, offset: int, separators: str) -> list[tuple[str, int]]:
     """Split at top-level separator characters, tracking bracket depth.
 
@@ -48,7 +53,8 @@ def _split_top(text: str, offset: int, separators: str) -> list[tuple[str, int]]
     pieces = []
     depth = 0
     start = 0
-    for k, ch in enumerate(text):
+    for m in _SPECIALS[separators].finditer(text):
+        k, ch = m.start(), m.group()
         if ch in _OPEN:
             depth += 1
         elif ch in _CLOSE:
@@ -199,6 +205,18 @@ class _ModelParser:
     def __init__(self, text: str):
         self.text = _blank_comments(text)
         self.model: ModelFile | None = None
+        self.parsed: dict[str, Poly] = {}
+
+    def expr(self, text: str, offset: int, ctx: BundleSpec) -> Poly:
+        """parse_expr(text, ctx, offset), parsed once per distinct text of the
+        file.  This is exact: a file has one chart (a second chart statement
+        is an error, and so is anything before the first), a parse's result
+        does not depend on the offset, and a Poly is immutable.  A failed
+        parse raises and stores nothing, so its position is always its own."""
+        p = self.parsed.get(text)
+        if p is None:
+            p = self.parsed[text] = parse_expr(text, ctx, offset)
+        return p
 
     def parse(self) -> ModelFile:
         for statement, offset in _split_top(self.text, 0, ";\n"):
@@ -249,7 +267,7 @@ class _ModelParser:
         if not eq:
             raise ParseError("expected omega = [[...], ...]", offset)
         matrix = _parse_matrix(value, offset + text.index("=") + 1,
-                               lambda cell, at: parse_expr(cell, model.bundle, at))
+                               lambda cell, at: self.expr(cell, at, model.bundle))
         omega = _checked(offset, OmegaSpec, model.bundle, matrix)
         validate_omega(omega)
         model.omega = omega
@@ -260,7 +278,7 @@ class _ModelParser:
             raise ParseError("expected let NAME = expression", offset)
         name = m.group(1)
         model = self.require_fresh(name, offset)
-        model.definitions[name] = parse_expr(m.group(2), model.bundle, offset + m.start(2))
+        model.definitions[name] = self.expr(m.group(2), offset + m.start(2), model.bundle)
 
     def stmt_auto(self, text: str, offset: int):
         m = re.match(r"auto\s+(" + _IDENT.pattern + r")\s*\{(.*)\}\Z", text, re.DOTALL)
@@ -291,7 +309,7 @@ class _ModelParser:
             a = ctx.fiber_index(fiber)
             if a in images:
                 raise ParseError(f"duplicate mapping for {fiber!r}", off)
-            images[a] = parse_expr(value, ctx, off + piece.index("->") + 2)
+            images[a] = self.expr(value, off + piece.index("->") + 2, ctx)
         missing = [ctx.fibers[a] for a in range(ctx.m) if a not in images]
         if missing:
             raise ParseError(f"missing mappings for {', '.join(missing)}", offset)
@@ -325,7 +343,7 @@ class _ModelParser:
             raise ParseError("n must be a positive integer", where["n"])
         n_fields = int(n_text)
         chart = sigma_bundle(n_fields)
-        matrix = _parse_matrix(*raw["w"], lambda cell, at: parse_expr(cell, chart, at))
+        matrix = _parse_matrix(*raw["w"], lambda cell, at: self.expr(cell, at, chart))
         spec = _checked(offset, SigmaModelSpec, n_fields, matrix, chart)
         self.model = ModelFile(*build_sigma(spec), sigma=spec)
 

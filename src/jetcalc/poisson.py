@@ -36,7 +36,11 @@ class EntryNotOrderZero(JetcalcError):
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """A fiberwise structure matrix: m x m polynomial entries over one chart."""
+    """A fiberwise structure matrix: m x m polynomial entries over one chart.
+
+    `validate_omega` records its verdict on the matrix once it holds, so a
+    matrix is proven admissible at most once; equality and hashing read the
+    two fields only."""
 
     ctx: BundleSpec
     entries: tuple[tuple[Poly, ...], ...]
@@ -48,6 +52,7 @@ class OmegaSpec:
         for row in self.entries:
             for entry in row:
                 _same_chart(self.ctx, entry.ctx, "omega entry over a different chart")
+        object.__setattr__(self, "_admissible", False)
 
     def entry(self, a: int, b: int) -> Poly:
         return self.entries[a][b]
@@ -57,7 +62,10 @@ def validate_omega(omega: OmegaSpec) -> None:
     """Check skewness and order-zero fiber dependence of every entry, once
     per pair (a, b), a <= b: a skew pair's entries have the same generators,
     so the first failure is that of a pass over every ordered pair.  A pair
-    of zero entries cannot fail and is skipped."""
+    of zero entries cannot fail and is skipped.  A matrix that passed once
+    is not checked again."""
+    if omega._admissible:
+        return
     entries, fibers = omega.entries, omega.ctx.fibers
     for a, row in enumerate(entries):
         for b in range(a, len(row)):
@@ -70,6 +78,7 @@ def validate_omega(omega: OmegaSpec) -> None:
             for g in upper.generators():
                 if g.is_base or (g.is_jet and g.order > 0):
                     raise EntryNotOrderZero(f"omega[{x},{y}] depends on {g.name(omega.ctx)}")
+    object.__setattr__(omega, "_admissible", True)
 
 
 def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:

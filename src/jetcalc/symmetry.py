@@ -20,7 +20,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly,
                      _same_chart)
@@ -216,17 +216,19 @@ class InvalidGroup(JetcalcError, ValueError):
     exceeds its bound."""
 
 
-def _closure(reached: list, seen: set, generators: Sequence, old: int) -> Iterator[Automorphism]:
+def _closure(reached: list, seen: set, generators: Sequence, old: int,
+             after: Callable) -> Iterator:
     """Close `reached` (identity first, mirrored by the set `seen`) under left
     composition by the generators, breadth first: each x in turn meets each g
-    in order, and g after x (g itself after the identity) is appended when
-    new.  Elements before index `old` are closed under all generators but the
-    newest, so they meet only that one.  Each new element is yielded before
-    it is appended, so the caller rejects it by raising."""
+    in order, and g after x, `after(g, x)` (g itself after the identity), is
+    appended when new.  Elements before index `old` are closed under all
+    generators but the newest, so they meet only that one.  Each new element
+    is yielded before it is appended, so the caller rejects it by raising;
+    a None from `after` is always new."""
     newest = generators[-1:]
     for i, x in enumerate(reached):
         for g in (generators if i >= old else newest):
-            y = g.compose(x) if i else g
+            y = after(g, x) if i else g
             if y not in seen:
                 yield y
                 reached.append(y)
@@ -248,11 +250,16 @@ class FiniteGroupAction:
     reached, in listing order, becomes a generator, and the closure loop of
     `generated_by` closes the reached set under it, looking every new
     composite up among the listed elements; at the end every element is
-    reached.  That costs at most |G| - 1 compositions per generator.
-    Inverses need no check of their own: for each listed g, h -> g after h
-    is injective on the finite listed set and stays in it, so it reaches
-    the identity.  The result of `generated_by` is not re-checked.
-    Equality and hashing read `elements` only.
+    reached.  That costs at most |G| - 1 composites per generator.
+    A composite is looked up by its forward map alone, the pullbacks of g's
+    psi by x, never composing the inverses: every listed element is a
+    bijection with a proven inverse, and a bijection has one inverse, so
+    g after x is listed exactly when its forward map is that of a listed
+    element, and then it is that element.  Inverses need no check of their
+    own: for each listed g, h -> g after h is injective on the finite listed
+    set and stays in it, so it reaches the identity.  The result of
+    `generated_by` is not re-checked.  Equality and hashing read `elements`
+    only.
     """
 
     elements: tuple[Automorphism, ...]
@@ -269,6 +276,11 @@ class FiniteGroupAction:
         identity = Automorphism.identity(ctx)
         if identity not in members:
             raise InvalidGroup("the identity automorphism must be listed")
+        listed = {g.psi: g for g in self.elements}
+
+        def after(g: Automorphism, x: Automorphism) -> Automorphism | None:
+            return listed.get(tuple(pullback(p, x) for p in g.psi))
+
         generators = []
         reached = [identity]
         seen = {identity}
@@ -276,8 +288,8 @@ class FiniteGroupAction:
             if g in seen:
                 continue
             generators.append(g)
-            for y in _closure(reached, seen, generators, len(reached)):
-                if y not in members:
+            for y in _closure(reached, seen, generators, len(reached), after):
+                if y is None:
                     raise InvalidGroup("the listed elements are not closed under composition")
         object.__setattr__(self, "_generators", tuple(generators))
 
@@ -307,7 +319,7 @@ class FiniteGroupAction:
         identity = Automorphism.identity(generators[0].ctx)
         generators = tuple(dict.fromkeys(g for g in generators if g != identity))
         elements = [identity]
-        for _ in _closure(elements, {identity}, generators, 0):
+        for _ in _closure(elements, {identity}, generators, 0, Automorphism.compose):
             if len(elements) >= max_order:
                 raise InvalidGroup(f"group generation exceeded {max_order} elements")
         group = object.__new__(cls)

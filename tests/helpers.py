@@ -9,10 +9,12 @@ budgets stay low to keep expression swell bounded.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 import random
+import re
 
 from hypothesis import strategies as st
 
 from jetcalc import kernel
+from jetcalc.dsl import MAX_NESTING, _exact
 from jetcalc import (
     Automorphism,
     BundleSpec,
@@ -25,6 +27,7 @@ from jetcalc import (
     NonSkew,
     NotExact,
     OmegaSpec,
+    ParseError,
     Poly,
     PreconditionFailed,
     UnknownName,
@@ -367,6 +370,127 @@ def reference_validate_omega(omega):
                     raise EntryNotOrderZero(
                         f"omega[{omega.ctx.fibers[a]},{omega.ctx.fibers[b]}] depends on "
                         f"{g.name(omega.ctx)}")
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<num>[0-9]+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+)
+
+
+class _ReferenceParser:
+    """`parse_expr` as the recursive descent over `Poly` arithmetic: a
+    tokenizer that matches token by token, four frames per nesting level
+    (expr, term, factor, primary), a `Poly` for every atom, and every
+    product, power and unary minus computed by `*`, `**` and negation."""
+
+    def __init__(self, text, ctx, offset):
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _REFERENCE_TOKEN.match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", offset + pos)
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), offset + pos))
+            pos = m.end()
+        self.tokens.append(("end", "", offset + len(text)))
+        self.ctx = ctx
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, text, pos = self.peek()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", pos)
+        self.advance()
+
+    def parse(self):
+        p = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", pos)
+        return p
+
+    def expr(self):
+        parts = [self.term()]
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                q = self.term()
+                parts.append(q if text == "+" else -q)
+            else:
+                return Poly.sum(self.ctx, parts)
+
+    def term(self):
+        p = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text == "*":
+                self.advance()
+                p = p * self.factor()
+            else:
+                return p
+
+    def factor(self):
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
+            self.advance()
+            negate = not negate
+        p = self.primary()
+        if self.peek()[:2] == ("op", "^"):
+            self.advance()
+            p = p ** self.posint()
+        return -p if negate else p
+
+    def posint(self):
+        kind, text, pos = self.peek()
+        value = _exact(int, text) if kind == "num" else 0
+        if value < 1:
+            raise ParseError("expected a positive integer", pos)
+        self.advance()
+        return value
+
+    def primary(self):
+        kind, text, pos = self.advance()
+        if kind == "num":
+            value = _exact(int, text)
+            k, t, _ = self.peek()
+            if k == "op" and t == "/":
+                self.advance()
+                value = Fraction(value, self.posint())
+            return Poly.const(self.ctx, value)
+        if kind == "name":
+            try:
+                g = self.ctx.resolve(text)
+            except UnknownName:
+                raise UnknownName(text, pos) from None
+            return Poly.generator(self.ctx, g)
+        if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            p = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return p
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+
+
+def reference_parse_expr(text, ctx, offset=0):
+    """`parse_expr` by the reference recursive descent over `Poly` arithmetic."""
+    return _ReferenceParser(text, ctx, offset).parse()
 
 
 @st.composite

@@ -549,6 +549,49 @@ class TestExitCodes:
         assert err.startswith("error: parentheses nested deeper than")
 
 
+class TestLeadingMinus:
+    """Every argument after the command words is positional, so a density may
+    start with a minus sign and no space; -h and --help still ask for help."""
+
+    @pytest.mark.parametrize("argv, results", [
+        (("euler", "-u1*u2_x"), [("E[u1]", "-u2_x"), ("E[u2]", "u1_x")]),
+        (("td", "x", "-1/2*u1^2"), [("", "-u1*u1_x")]),
+        (("l2", "u1", "-u2"), [("", "-1")]),
+        (("euler", "-u1 * u2_x"), [("E[u1]", "-u2_x"), ("E[u2]", "u1_x")]),
+        (("euler", "--", "-u1*u2_x"), [("E[u1]", "-u2_x"), ("E[u2]", "u1_x")]),
+    ])
+    def test_density(self, invoke, models, argv, results):
+        command, *args = argv
+        argv = (command, models["std"], *args)
+        text = "".join(f"{n} = {e}\n" if n else f"{e}\n" for n, e in results)
+        assert invoke(*argv) == (0, text, "")
+        payload = {"command": command, "pass": True,
+                   "results": [{"name": n, "expression": e} for n, e in results],
+                   "residuals": []}
+        assert invoke("--json", *argv) == (0, json.dumps(payload) + "\n", "")
+
+    def test_error_keeps_the_json_shape(self, invoke, models):
+        message = "unknown name 'u9' at position 1"
+        assert invoke("euler", models["std"], "-u9") == (2, "", f"error: {message}\n")
+        payload = {"command": "euler", "pass": False, "results": [],
+                   "residuals": [{"location": "error", "expression": message}]}
+        assert invoke("--json", "euler", models["std"], "-u9") == (
+            2, json.dumps(payload) + "\n", "")
+
+    def test_check_density(self, invoke, models):
+        assert invoke("check", "invariance", models["std"], "C4", "-u1^2 - u2^2") == (
+            0, "pass\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "canonical", "std", "--help"),
+        ("check", "canonical", "std", "Rot90", "-u1", "-h"),
+        ("check", "canonical", "-h"),
+    ])
+    def test_help_after_command_words(self, invoke, monkeypatch, models, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert invoke(*(models.get(arg, arg) for arg in argv)) == (0, CANONICAL_HELP, "")
+
+
 class TestEntryPoint:
     def test_installed_script(self, models):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from jetcalc import (
@@ -18,6 +19,41 @@ from jetcalc import (
 from jetcalc.dsl import MAX_NESTING
 
 import helpers
+
+# Names of every kind over (x, y) with fibers u1, u2 and the parameter c, jet
+# names with their suffix in either order, and a few that resolve to nothing.
+_ATOMS = ("u1", "u2", "x", "y", "c", "u1_x", "u2_yx", "u1_xy", "u2_xx", "u2", "u1",
+          "0", "1", "2", "7", "12", "3/5", "2/4", "5/3", "u3", "x_x", "u1_z", "1/0")
+_POWERS = ("^1", "^2", "^3", "^2", " ^ 2", "^0", "^x")
+_JOINS = (" + ", " - ", "*", " * ", "-", "+", "*-", " - -")
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from(("-", "--", "- -", "---")), inner).map("".join),
+        st.tuples(inner, st.sampled_from(_POWERS)).map("".join),
+        inner.map(lambda text: f"({text})"),
+        st.lists(inner, min_size=2, max_size=3).flatmap(
+            lambda parts: st.sampled_from(_JOINS).map(lambda op: op.join(parts))),
+    )
+
+
+@st.composite
+def expression_texts(draw):
+    """Texts of the expression language: nested parentheses, chains of unary
+    minus, rationals and powers of numbers, names and jet names.  Half are
+    then made malformed, mostly: one character is inserted or deleted, or
+    the text is cut short."""
+    text = draw(st.recursive(st.sampled_from(_ATOMS), _extend, max_leaves=12))
+    edit = draw(st.sampled_from(("none", "none", "none", "insert", "delete", "cut")))
+    k = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        text = text[:k] + draw(st.sampled_from("()+-*/^ \t$.\u0663_a1")) + text[k:]
+    elif edit == "delete":
+        text = text[:k] + text[k + 1:]
+    elif edit == "cut":
+        text = text[:k]
+    return text
 
 
 class TestParse:
@@ -109,6 +145,35 @@ class TestParseErrors:
             with pytest.raises(ParseError) as err:
                 parse_expr("(" * depth + "u1" + ")" * depth, ctx1)
             assert err.value.position == MAX_NESTING
+
+
+class TestReferenceParser:
+    """The parser against `helpers.reference_parse_expr`, the recursive
+    descent that builds every atom as a `Poly` and multiplies, powers and
+    negates it with `Poly` arithmetic."""
+
+    CHART = BundleSpec(("x", "y"), ("u1", "u2"), params=("c",))
+
+    @staticmethod
+    def outcome(parse, text, ctx):
+        try:
+            p = parse(text, ctx, 7)
+        except (ParseError, UnknownName) as exc:
+            return type(exc), str(exc), exc.position
+        # the term map in the order that summing term by term builds
+        return p, list(p._terms)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(expression_texts())
+    @example("(" * MAX_NESTING + "u1" + ")" * MAX_NESTING)
+    @example("(" * (MAX_NESTING + 1) + "u1" + ")" * (MAX_NESTING + 1))
+    @example("-" * 3001 + "u1^2*" + "-" * 4 + "3/4^2")
+    @example("u2*(u1 + x)^2*c - 2*(x - u1) + u1*u1^3 + (u2)*u1_yx - 3 + 1/2^3")
+    @example("u1 - u1 + (u2 + u1) - u1 + 0*(u1 + 1) + (-2)^3 - (u1)^1")
+    @example("1/3*(2*u1)^40 - (3/7*u2)^40 + 5^40 + 10/4")
+    def test_equal_poly_or_equal_error(self, text):
+        assert (self.outcome(parse_expr, text, self.CHART)
+                == self.outcome(helpers.reference_parse_expr, text, self.CHART))
 
 
 class TestUnaryMinus:

@@ -6,6 +6,8 @@ import textwrap
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import jetcalc.modelfile
+import jetcalc.symmetry
 from jetcalc import (
     Automorphism,
     BundleSpec,
@@ -151,6 +153,27 @@ class TestStatementSyntax:
         assert err.value.position == text.index("zz")
         assert str(err.value) == f"unknown name 'zz' at position {text.index('zz')}"
 
+    def test_each_text_parsed_once_per_load(self, monkeypatch):
+        texts = []
+        parse = jetcalc.modelfile.parse_expr
+
+        def counted(text, ctx, offset=0):
+            texts.append(text)
+            return parse(text, ctx, offset)
+
+        monkeypatch.setattr(jetcalc.modelfile, "parse_expr", counted)
+        text = ("bundle { base = [x]; fibers = [u1, u2] }\n"
+                "omega = [[0, 1], [-1, 0]]\n"
+                "auto Rot90 { u1 -> u2, u2 -> -u1 inv { u1 -> -u2, u2 -> u1 } }\n"
+                "let P = -1\n")
+        model = parse_model(text)
+        # a text is its piece of the file: after "->" the space is kept
+        assert texts == ["0", "1", "-1", " u2", " -u1", " -u2", " u1"]
+        assert model.definitions["P"] is model.omega.entry(1, 0)
+        # nothing is kept from one load to the next
+        assert parse_model(text).definitions["P"] is not model.definitions["P"]
+        assert len(texts) == 14
+
     def test_expression_error_position(self):
         text = "bundle { base = [x]; fibers = [u1] }\nlet P = u1 + "
         with pytest.raises(ParseError) as err:
@@ -287,26 +310,44 @@ class TestGroupStatement:
         assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
 
     def test_closure_composes_generators_only(self, monkeypatch, tmp_path, capsys):
-        calls = []
-        compose = Automorphism.compose
+        # Each composite g after x of the closure loop is looked up among the
+        # listed elements by its forward map alone: one pullback per fiber,
+        # by a non-identity x, and no composition of inverses.
+        pullbacks = []
+        validating = []
+        pullback = jetcalc.symmetry.pullback
+        post_init = FiniteGroupAction.__post_init__
 
-        def counted(g, h):
-            calls.append((g.is_identity, h.is_identity))
-            return compose(g, h)
+        def counted(p, auto):
+            if validating:
+                pullbacks.append(auto.is_identity)
+            return pullback(p, auto)
 
-        monkeypatch.setattr(Automorphism, "compose", counted)
+        def scoped(group):
+            validating.append(group)
+            try:
+                post_init(group)
+            finally:
+                validating.pop()
+
+        def composed(g, h):
+            raise AssertionError("a listed group was validated by composition")
+
+        monkeypatch.setattr(jetcalc.symmetry, "pullback", counted)
+        monkeypatch.setattr(FiniteGroupAction, "__post_init__", scoped)
+        monkeypatch.setattr(Automorphism, "compose", composed)
         c4 = (self.AUTOS
               + "auto Rot270 { u1 -> -u2, u2 -> u1 inv { u1 -> u2, u2 -> -u1 } }\n"
               + "group G = [Id, Rot90, Rot180, Rot270]")
         assert parse_model(c4).get_group("G").order == 4
-        assert calls == [(False, False)] * 3
-        calls.clear()
+        assert pullbacks == [False] * 3 * 2      # 3 composites, 2 fibers each
+        pullbacks.clear()
         message = "invalid group 'G': the listed elements are not closed under composition"
         path = tmp_path / "open.jet"
         path.write_text(self.AUTOS + "group G = [Id, Rot90]\n", encoding="utf-8")
         assert run(["euler", str(path), "u1"]) == 2
         assert capsys.readouterr().err == f"error: {message} (at position 228)\n"
-        assert calls == [(False, False)]
+        assert pullbacks == [False] * 2          # 1 composite before the error
 
     @pytest.mark.parametrize("listing", [
         "[Id, Rot180, Rot90]",

@@ -137,6 +137,23 @@ class TestOmegaSpec:
         validate_omega(omega_so3)
         validate_omega(omega_affine)
 
+    def test_second_validation_does_no_pair_work(self, omega_so3, ctx1, monkeypatch):
+        # the verdict is recorded once proven; a failure records nothing
+        negations = []
+        negate = Poly.__neg__
+        monkeypatch.setattr(Poly, "__neg__", lambda p: negations.append(p) or negate(p))
+        omega = OmegaSpec(omega_so3.ctx, omega_so3.entries)
+        validate_omega(omega)
+        assert len(negations) == 3      # the pairs a < b with a nonzero entry
+        negations.clear()
+        validate_omega(omega)
+        assert check_poisson_tensor(omega).passed
+        assert negations == []
+        non_skew = omega_from(ctx1, (("0", "1"), ("1", "0")))
+        for check in (validate_omega, validate_omega, check_poisson_tensor):
+            with pytest.raises(NonSkew):
+                check(non_skew)
+
     def test_validate_rejects_non_skew(self, ctx1):
         with pytest.raises(NonSkew):
             validate_omega(omega_from(ctx1, (("0", "1"), ("1", "0"))))
