@@ -23,7 +23,7 @@ from .kernel import (BundleSpec, ChartMismatch, CheckReport, Generator, JetcalcE
 from .modelfile import MissingDeclaration, ModelFile, load_model, parse_model
 from .poisson import (EntryNotOrderZero, FunctionalClass, NonSkew, OmegaSpec,
                       bracket, check_poisson_tensor, cyclic_sum, jacobiator,
-                      l2_density, validate_omega)
+                      l2_density)
 from .shlie import GradedElement, check_shlie_relations, l1, l2, l3
 from .sigma import (NotOrthogonal, SigmaModelSpec, build_sigma,
                     check_lagrangian_invariance, contracted_curvature,
@@ -54,7 +54,7 @@ __all__ = [
     "jacobiator", "l1", "l2", "l2_density", "l3", "load_model",
     "orthogonal_action", "parse_expr", "parse_model", "pullback",
     "pullback_form", "render_expr", "sigma_bundle", "sigma_euler_check",
-    "total_derivative", "validate_omega",
+    "total_derivative",
 ]
 
 __version__ = "0.1.0"

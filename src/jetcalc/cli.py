@@ -139,16 +139,21 @@ def _parser() -> argparse.ArgumentParser:
 def _positional(argv: list[str]) -> list[str]:
     """argv with "--" after the command words (`euler`, `check poisson`), so
     that argparse reads every later argument as a positional one: a density
-    such as -u1*u2_x would otherwise read as an unknown option.  A -h or
-    --help there moves ahead of the "--" and still asks for help.  An argv
-    that already holds "--" is left as it is."""
-    words = [k for k, arg in enumerate(argv) if not arg.startswith("-")]
-    if "--" in argv or not words:
+    such as -u1*u2_x would otherwise read as an unknown option.  A --json
+    anywhere moves to the front, where the parser knows it, and a -h or
+    --help after the command words moves ahead of the "--"; both keep their
+    meaning.  An argv that already holds "--" is left as it is."""
+    if "--" in argv:
         return argv
+    front = [arg for arg in argv if arg == "--json"]
+    argv = [arg for arg in argv if arg != "--json"]
+    words = [k for k, arg in enumerate(argv) if not arg.startswith("-")]
+    if not words:
+        return front + argv
     groups = {name.partition(" ")[0] for name in _COMMANDS if " " in name}
     end = (words[1] if argv[words[0]] in groups and len(words) > 1 else words[0]) + 1
     rest = argv[end:]
-    return (argv[:end] + [arg for arg in rest if arg in ("-h", "--help")] + ["--"]
+    return (front + argv[:end] + [arg for arg in rest if arg in ("-h", "--help")] + ["--"]
             + [arg for arg in rest if arg not in ("-h", "--help")])
 
 

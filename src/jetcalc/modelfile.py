@@ -28,8 +28,8 @@ from typing import Any, Callable
 
 from .dsl import ParseError, parse_expr
 from .kernel import _IDENT, BundleSpec, JetcalcError, Poly, Scalar, UnknownName
-from .poisson import OmegaSpec, validate_omega
-from .sigma import SigmaModelSpec, build_sigma, sigma_bundle
+from .poisson import OmegaSpec
+from .sigma import SigmaModelSpec, sigma_bundle
 from .symmetry import Automorphism, FiniteGroupAction
 
 _OPEN = "([{"
@@ -268,9 +268,7 @@ class _ModelParser:
             raise ParseError("expected omega = [[...], ...]", offset)
         matrix = _parse_matrix(value, offset + text.index("=") + 1,
                                lambda cell, at: self.expr(cell, at, model.bundle))
-        omega = _checked(offset, OmegaSpec, model.bundle, matrix)
-        validate_omega(omega)
-        model.omega = omega
+        model.omega = _checked(offset, OmegaSpec, model.bundle, matrix)
 
     def stmt_let(self, text: str, offset: int):
         m = re.match(r"let\s+(" + _IDENT.pattern + r")\s*=\s*(.*)\Z", text, re.DOTALL)
@@ -345,7 +343,7 @@ class _ModelParser:
         chart = sigma_bundle(n_fields)
         matrix = _parse_matrix(*raw["w"], lambda cell, at: self.expr(cell, at, chart))
         spec = _checked(offset, SigmaModelSpec, n_fields, matrix, chart)
-        self.model = ModelFile(*build_sigma(spec), sigma=spec)
+        self.model = ModelFile(chart, spec.omega, sigma=spec)
 
 
 def parse_model(text: str) -> ModelFile:

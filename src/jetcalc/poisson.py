@@ -36,49 +36,42 @@ class EntryNotOrderZero(JetcalcError):
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """A fiberwise structure matrix: m x m polynomial entries over one chart.
+    """An admissible structure matrix: m x m polynomial entries over one
+    chart, skew, and of order zero in the fibers.
 
-    `validate_omega` records its verdict on the matrix once it holds, so a
-    matrix is proven admissible at most once; equality and hashing read the
-    two fields only."""
+    Construction is the one proof of admissibility.  It checks the shape
+    (ChartMismatch), each entry's chart, and then skewness and order-zero
+    fiber dependence once per pair (a, b), a <= b: a skew pair's entries
+    have the same generators, so the first failure is that of a pass over
+    every ordered pair.  A pair of zero entries cannot fail and is skipped.
+    A failure raises NonSkew or EntryNotOrderZero, so every `OmegaSpec` in
+    hand is admissible."""
 
     ctx: BundleSpec
     entries: tuple[tuple[Poly, ...], ...]
 
     def __post_init__(self):
-        m = self.ctx.m
-        if len(self.entries) != m or any(len(row) != m for row in self.entries):
+        ctx, entries = self.ctx, self.entries
+        m, fibers = ctx.m, ctx.fibers
+        if len(entries) != m or any(len(row) != m for row in entries):
             raise ChartMismatch(f"omega must be {m}x{m} to match the fibers")
-        for row in self.entries:
+        for row in entries:
             for entry in row:
-                _same_chart(self.ctx, entry.ctx, "omega entry over a different chart")
-        object.__setattr__(self, "_admissible", False)
+                _same_chart(ctx, entry.ctx, "omega entry over a different chart")
+        for a, row in enumerate(entries):
+            for b in range(a, m):
+                upper, lower = row[b], entries[b][a]
+                if not upper and not lower:
+                    continue
+                x, y = fibers[a], fibers[b]
+                if upper != -lower:
+                    raise NonSkew(f"omega[{x},{y}] != -omega[{y},{x}]")
+                for g in upper.generators():
+                    if g.is_base or (g.is_jet and g.order > 0):
+                        raise EntryNotOrderZero(f"omega[{x},{y}] depends on {g.name(ctx)}")
 
     def entry(self, a: int, b: int) -> Poly:
         return self.entries[a][b]
-
-
-def validate_omega(omega: OmegaSpec) -> None:
-    """Check skewness and order-zero fiber dependence of every entry, once
-    per pair (a, b), a <= b: a skew pair's entries have the same generators,
-    so the first failure is that of a pass over every ordered pair.  A pair
-    of zero entries cannot fail and is skipped.  A matrix that passed once
-    is not checked again."""
-    if omega._admissible:
-        return
-    entries, fibers = omega.entries, omega.ctx.fibers
-    for a, row in enumerate(entries):
-        for b in range(a, len(row)):
-            upper, lower = row[b], entries[b][a]
-            if not upper and not lower:
-                continue
-            x, y = fibers[a], fibers[b]
-            if upper != -lower:
-                raise NonSkew(f"omega[{x},{y}] != -omega[{y},{x}]")
-            for g in upper.generators():
-                if g.is_base or (g.is_jet and g.order > 0):
-                    raise EntryNotOrderZero(f"omega[{x},{y}] depends on {g.name(omega.ctx)}")
-    object.__setattr__(omega, "_admissible", True)
 
 
 def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
@@ -93,17 +86,15 @@ def cyclic_sum(omega: OmegaSpec, a: int, b: int, c: int) -> Poly:
 def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
     """Verify the cyclic condition on every fiber triple a < b < c.
 
-    `OmegaSpec` does not enforce skewness, on which this check relies, so
-    `validate_omega` runs first: an inadmissible matrix raises its NonSkew or
-    EntryNotOrderZero.  Each failing triple is reported at `(a,b,c)` with its
-    cyclic sum, in increasing order.  The cyclic sum is totally antisymmetric
-    in (a, b, c) for a skew matrix and vanishes on repeated indices, so these
-    triples decide the condition.  A summand omega^{zd} d(omega^{xy})/du^d
-    vanishes unless omega^{zd} is nonzero and omega^{xy} contains u^d, so one
-    pass over the upper triangle finds the only triples {x, y, z} that can
-    fail; every other triple has only zero summands and is skipped.
+    Each failing triple is reported at `(a,b,c)` with its cyclic sum, in
+    increasing order.  An `OmegaSpec` is skew by construction, so the cyclic
+    sum is totally antisymmetric in (a, b, c) and vanishes on repeated
+    indices, and these triples decide the condition.  A summand
+    omega^{zd} d(omega^{xy})/du^d vanishes unless omega^{zd} is nonzero and
+    omega^{xy} contains u^d, so one pass over the upper triangle finds the
+    only triples {x, y, z} that can fail; every other triple has only zero
+    summands and is skipped.
     """
-    validate_omega(omega)
     m, fibers = omega.ctx.m, omega.ctx.fibers
     containing = [[] for _ in range(m)]     # d -> the pairs x < y with u^d in omega^{xy}
     rows = [[] for _ in range(m)]           # d -> the z with omega^{zd} != 0

@@ -26,14 +26,14 @@ acts by u_B -> M^A_B u_A and w^D_mu -> (M^{-1})^D_A w^A_mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .dsl import parse_expr
 from .kernel import (BundleSpec, ChartMismatch, CheckReport, Generator, JetcalcError, Monomial,
                      MultiIndex, Poly, _same_chart)
-from .poisson import NonSkew, OmegaSpec
+from .poisson import OmegaSpec
 from .symmetry import Automorphism, pullback
 from .varcalc import euler
 
@@ -61,10 +61,6 @@ def sigma_bundle(n_fields: int) -> BundleSpec:
     return BundleSpec(*_sigma_names(n_fields))
 
 
-def _u_pos(A: int) -> int:
-    return A
-
-
 def _w_pos(n_fields: int, A: int, mu: int) -> int:
     return n_fields + mu * n_fields + A
 
@@ -75,12 +71,18 @@ class SigmaModelSpec:
 
     `bundle` must be the chart of `sigma_bundle(n_fields)`.  Its names are
     compared with the ones `sigma_bundle` would give it, so checking a chart
-    does not build a second one.
+    does not build a second one.  W must be N x N over that chart, with
+    entries in the fields alone.  `omega` is the chart's block-diagonal
+    structure matrix, built once here: W in the u-block and in each
+    w_mu-block, every cross block zero.  Building it is the one proof that
+    W is skew, so a non-skew W raises NonSkew at its first pair of fibers.
+    Equality and hashing read the three given fields only.
     """
 
     n_fields: int
     w: tuple[tuple[Poly, ...], ...]
     bundle: BundleSpec
+    omega: OmegaSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = self.n_fields
@@ -89,16 +91,19 @@ class SigmaModelSpec:
             raise ChartMismatch("bundle does not match the generated sigma chart")
         if len(self.w) != N or any(len(row) != N for row in self.w):
             raise ValueError(f"structure matrix must be {N}x{N}")
-        for A in range(N):
-            for B in range(N):
-                entry = self.w[A][B]
-                _same_chart(self.bundle, entry.ctx, "structure entry over a different chart")
-                if entry != -self.w[B][A]:
-                    raise NonSkew(f"W[{A + 1},{B + 1}] != -W[{B + 1},{A + 1}]")
+        for row in self.w:
+            for entry in row:
+                _same_chart(ctx, entry.ctx, "structure entry over a different chart")
                 for g in entry.generators():
                     if not (g.is_jet and g.order == 0 and g.pos < N):
                         raise ValueError(
                             "structure entries must be polynomials in the fields alone")
+        zero = Poly.zero(ctx)
+        entries = [[zero] * ctx.m for _ in range(ctx.m)]
+        for block in range(3):      # u, then w_0 and w_1, as `_w_pos` orders them
+            for A, row in enumerate(self.w):
+                entries[block * N + A][block * N:(block + 1) * N] = row
+        object.__setattr__(self, "omega", OmegaSpec(ctx, tuple(map(tuple, entries))))
 
     @classmethod
     def from_strings(cls, n_fields: int, rows: Sequence[Sequence[str]]) -> "SigmaModelSpec":
@@ -108,22 +113,9 @@ class SigmaModelSpec:
 
 
 def build_sigma(spec: SigmaModelSpec) -> tuple[BundleSpec, OmegaSpec]:
-    """The generated chart and its block-diagonal fiberwise structure.
-
-    The u-block and both w_mu-blocks carry W; all cross blocks vanish.
-    """
-    ctx = spec.bundle
-    N = spec.n_fields
-    m = ctx.m
-    zero = Poly.zero(ctx)
-    entries = [[zero for _ in range(m)] for _ in range(m)]
-    for A in range(N):
-        for B in range(N):
-            entry = spec.w[A][B]
-            entries[_u_pos(A)][_u_pos(B)] = entry
-            entries[_w_pos(N, A, 0)][_w_pos(N, B, 0)] = entry
-            entries[_w_pos(N, A, 1)][_w_pos(N, B, 1)] = entry
-    return ctx, OmegaSpec(ctx, tuple(tuple(row) for row in entries))
+    """The generated chart and its block-diagonal fiberwise structure, both
+    held by the spec."""
+    return spec.bundle, spec.omega
 
 
 def _w_gen(spec: SigmaModelSpec, A: int, mu: int) -> Poly:
@@ -131,8 +123,7 @@ def _w_gen(spec: SigmaModelSpec, A: int, mu: int) -> Poly:
 
 
 def _u_jet(spec: SigmaModelSpec, A: int, direction: int) -> Poly:
-    return Poly.generator(spec.bundle,
-                          Generator.jet(_u_pos(A), MultiIndex((direction,))))
+    return Poly.generator(spec.bundle, Generator.jet(A, MultiIndex((direction,))))
 
 
 def ikeda_lagrangian(spec: SigmaModelSpec) -> Poly:
@@ -159,7 +150,7 @@ def contracted_curvature(spec: SigmaModelSpec, A: int) -> Poly:
     """eps^{mu nu} R^A_{mu nu} with R as usually displayed."""
     ctx = spec.bundle
     N = spec.n_fields
-    u_A = Generator.jet(_u_pos(A))
+    u_A = Generator.jet(A)
     slopes = [(B, C, spec.w[B][C].partial(u_A)) for B in range(N) for C in range(N)]
     parts = []
     for mu, nu, eps in _EPS:
@@ -193,9 +184,9 @@ def sigma_euler_check(spec: SigmaModelSpec) -> CheckReport:
          components[_w_pos(N, A, mu)] - covariant_derivative(spec, A, nu) * eps)
         for mu, nu, eps in _EPS for A in range(N))
     curvatures = [contracted_curvature(spec, A) for A in range(N)]
-    u_block = CheckReport.of((f"E[{fibers[_u_pos(A)]}]", components[_u_pos(A)] - curvature * half)
+    u_block = CheckReport.of((f"E[{fibers[A]}]", components[A] - curvature * half)
                              for A, curvature in enumerate(curvatures))
-    displayed = all(components[_u_pos(A)] == curvature for A, curvature in enumerate(curvatures))
+    displayed = all(components[A] == curvature for A, curvature in enumerate(curvatures))
     results = (
         ("w_block", "exact" if w_block else "mismatch"),
         ("u_block_vs_half_curvature", "exact" if u_block else "mismatch"),
@@ -231,7 +222,7 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
     N = spec.n_fields
     M = _as_rational_matrix(matrix, N)
     ctx = spec.bundle
-    blocks = [[Poly.generator(ctx, Generator.jet(_u_pos(A))) for A in range(N)]] + [
+    blocks = [[Poly.generator(ctx, Generator.jet(A)) for A in range(N)]] + [
         [_w_gen(spec, A, mu) for A in range(N)] for mu in (0, 1)]
 
     def image(weight) -> tuple[Poly, ...]:
@@ -239,7 +230,7 @@ def orthogonal_action(spec: SigmaModelSpec, matrix: Sequence[Sequence]) -> Autom
                      for gens in blocks for B in range(N))
 
     auto = Automorphism._trusted(ctx, image(lambda A, B: M[A][B]), image(lambda A, B: M[B][A]))
-    fields = [Monomial(((Generator.jet(_u_pos(j)), 1),)) for j in range(N)]
+    fields = [Monomial(((Generator.jet(j), 1),)) for j in range(N)]
     for i in range(N):
         row = pullback(auto.psi_inv[i], auto)
         for j, u_j in enumerate(fields):

@@ -17,7 +17,6 @@ group projects onto invariant forms.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -52,10 +51,9 @@ class Automorphism:
     each psi^a pulled back by the inverse, and each psi_inv^a pulled back by
     the map, must give u^a again.  The results of `identity`, `compose`,
     `inverse` and `sigma.orthogonal_action` are valid by construction or by
-    their own proof and are not re-checked.  `inverse` is built once and,
-    while this automorphism lives, its own inverse is this automorphism, so
-    both keep their prolongation caches across calls; equality and hashing
-    read the three fields only.
+    their own proof and are not re-checked.  `inverse` swaps the two fiber
+    maps, so its inverse equals this automorphism again.  Equality and
+    hashing read the three fields only.
     """
 
     ctx: BundleSpec
@@ -67,7 +65,6 @@ class Automorphism:
         _check_fiber_map(ctx, self.psi, "psi")
         _check_fiber_map(ctx, self.psi_inv, "psi_inv")
         object.__setattr__(self, "_prolong_cache", {})
-        object.__setattr__(self, "_inverse", None)
         inverse = self.inverse()
         for a in range(ctx.m):
             u_a = Poly.generator(ctx, Generator.jet(a))
@@ -86,7 +83,6 @@ class Automorphism:
         object.__setattr__(auto, "psi", psi)
         object.__setattr__(auto, "psi_inv", psi_inv)
         object.__setattr__(auto, "_prolong_cache", {})
-        object.__setattr__(auto, "_inverse", None)
         return auto
 
     @classmethod
@@ -99,24 +95,15 @@ class Automorphism:
         return self == Automorphism.identity(self.ctx)
 
     def inverse(self) -> "Automorphism":
-        inverse = self._inverse
-        if isinstance(inverse, weakref.ref):
-            inverse = inverse()
-        if inverse is None:
-            inverse = Automorphism._trusted(self.ctx, self.psi_inv, self.psi)
-            # The way back is weak: a pair that held each other would be
-            # freed only by the cycle collector, which then ran 5 times as
-            # often on the `models` benchmark.
-            object.__setattr__(inverse, "_inverse", weakref.ref(self))
-            object.__setattr__(self, "_inverse", inverse)
-        return inverse
+        return Automorphism._trusted(self.ctx, self.psi_inv, self.psi)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: fibers map through other first, then self.  Both
         directions are pullbacks, as (g after h)^* = h^* g^*."""
         _same_chart(self.ctx, other.ctx, "automorphisms over different charts")
+        inverse = self.inverse()
         return Automorphism._trusted(self.ctx, tuple(pullback(p, other) for p in self.psi),
-                                     tuple(pullback(p, self.inverse()) for p in other.psi_inv))
+                                     tuple(pullback(p, inverse) for p in other.psi_inv))
 
     def prolong(self, a: int, index: MultiIndex) -> Poly:
         """Prolonged jet coordinate: u^a_I composed with the map is D_I(psi^a)."""

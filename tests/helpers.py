@@ -26,7 +26,6 @@ from jetcalc import (
     MultiIndex,
     NonSkew,
     NotExact,
-    OmegaSpec,
     ParseError,
     Poly,
     PreconditionFailed,
@@ -357,19 +356,18 @@ def reference_orthogonality(matrix):
     return None
 
 
-def reference_validate_omega(omega):
-    """`validate_omega` over every ordered pair (a, b), row-major."""
-    m = omega.ctx.m
-    for a in range(m):
-        for b in range(m):
-            if omega.entry(a, b) != -omega.entry(b, a):
-                names = (omega.ctx.fibers[a], omega.ctx.fibers[b])
-                raise NonSkew(f"omega[{names[0]},{names[1]}] != -omega[{names[1]},{names[0]}]")
-            for g in omega.entry(a, b).generators():
+def reference_validate_omega(ctx, entries):
+    """The admissibility proof of `OmegaSpec` over every ordered pair (a, b),
+    row-major."""
+    fibers = ctx.fibers
+    for a in range(ctx.m):
+        for b in range(ctx.m):
+            if entries[a][b] != -entries[b][a]:
+                raise NonSkew(f"omega[{fibers[a]},{fibers[b]}] != -omega[{fibers[b]},{fibers[a]}]")
+            for g in entries[a][b].generators():
                 if g.is_base or (g.is_jet and g.order > 0):
                     raise EntryNotOrderZero(
-                        f"omega[{omega.ctx.fibers[a]},{omega.ctx.fibers[b]}] depends on "
-                        f"{g.name(omega.ctx)}")
+                        f"omega[{fibers[a]},{fibers[b]}] depends on {g.name(ctx)}")
 
 
 _REFERENCE_TOKEN = re.compile(
@@ -518,11 +516,11 @@ def orthogonal_matrices(draw, max_size=4):
 
 @st.composite
 def near_skew_omegas(draw):
-    """Skew structure matrices on 2 to 4 fibers with order-zero entries,
-    each with at most one defect at a drawn (a, b), possibly diagonal:
-    entry (a, b) alone gains a constant or a fiber, which breaks skewness,
-    or it gains x or a first jet, and entry (b, a) the opposite term or
-    none."""
+    """A chart on 2 to 4 fibers and the rows of a skew structure matrix over
+    it with order-zero entries, with at most one defect at a drawn (a, b),
+    possibly diagonal: entry (a, b) alone gains a constant or a fiber, which
+    breaks skewness, or it gains x or a first jet, and entry (b, a) the
+    opposite term or none."""
     m = draw(st.integers(2, 4))
     ctx = BundleSpec(("x",), tuple(f"u{a + 1}" for a in range(m)))
     pool = [Poly.const(ctx, 1)] + [Poly.generator(ctx, Generator.jet(a)) for a in range(m)]
@@ -543,7 +541,7 @@ def near_skew_omegas(draw):
         entries[a][b] = entries[a][b] + term
         if draw(st.booleans()):
             entries[b][a] = entries[b][a] - term
-    return OmegaSpec(ctx, tuple(tuple(row) for row in entries))
+    return ctx, tuple(tuple(row) for row in entries)
 
 
 def assert_canonical(p):

@@ -551,7 +551,8 @@ class TestExitCodes:
 
 class TestLeadingMinus:
     """Every argument after the command words is positional, so a density may
-    start with a minus sign and no space; -h and --help still ask for help."""
+    start with a minus sign and no space; -h and --help still ask for help,
+    and --json still asks for the JSON shape."""
 
     @pytest.mark.parametrize("argv, results", [
         (("euler", "-u1*u2_x"), [("E[u1]", "-u2_x"), ("E[u2]", "u1_x")]),
@@ -590,6 +591,29 @@ class TestLeadingMinus:
     def test_help_after_command_words(self, invoke, monkeypatch, models, argv):
         monkeypatch.setenv("COLUMNS", "80")
         assert invoke(*(models.get(arg, arg) for arg in argv)) == (0, CANONICAL_HELP, "")
+
+
+    @pytest.mark.parametrize("argv", [
+        ("euler", "std", "P1", "--json"),
+        ("euler", "std", "--json", "P1"),
+        ("euler", "--json", "std", "P1"),
+        ("check", "--json", "canonical", "std", "Rot90", "-u1", "u2"),
+        ("check", "canonical", "std", "Rot90", "-u1", "--json", "u2"),
+    ])
+    def test_json_after_command_words(self, invoke, models, argv):
+        argv = [models.get(arg, arg) for arg in argv]
+        argv.remove("--json")
+        expected = invoke("--json", *argv)
+        assert expected[0] == 0 and expected[1].startswith("{")
+        for k in range(len(argv) + 1):
+            assert invoke(*argv[:k], "--json", *argv[k:]) == expected
+
+    def test_json_after_model_without_density(self, invoke, models):
+        # a --json that ends the line is the option, not a density
+        code, out, err = invoke("euler", models["std"], "--json")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: density\n")
+        assert invoke("--json", "euler", models["std"]) == (code, out, err)
 
 
 class TestEntryPoint:

@@ -391,6 +391,7 @@ class TestSigmaStatement:
         spec = model.require_sigma()
         assert spec.n_fields == 2
         omega = model.require_omega()
+        assert omega is spec.omega
         assert omega.entry(0, 1) == parse_expr("u1", model.bundle)
         assert omega.entry(2, 3) == parse_expr("u1", model.bundle)
 
@@ -578,6 +579,8 @@ _INV = "inv { u1 -> u2, u2 -> u1 }"
                  "empty matrix entry (at position 22)", id="sigma-empty-entry"),
     pytest.param("sigma { n = 2; w = [[0, 1]] }", ParseError,
                  "structure matrix must be 2x2 (at position 0)", id="sigma-shape"),
+    pytest.param("sigma { n = 2; w = [[0, 1], [1, 0]] }", NonSkew,
+                 "omega[u1,u2] != -omega[u2,u1]", id="sigma-non-skew"),
 ])
 def test_error_messages(text, error, message):
     with pytest.raises(error) as err:

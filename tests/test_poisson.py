@@ -34,7 +34,6 @@ from jetcalc import (
     parse_expr,
     pullback,
     total_derivative,
-    validate_omega,
 )
 from jetcalc.sigma import SigmaModelSpec, build_sigma, sigma_bundle
 
@@ -121,52 +120,36 @@ class TestOmegaSpec:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(helpers.near_skew_omegas())
-    def test_validate_matches_row_major_reference(self, omega):
+    def test_validate_matches_row_major_reference(self, drawn):
         # the upper triangle alone finds the first failure of a full pass
-        def outcome(validate):
+        ctx, rows = drawn
+
+        def outcome(build):
             try:
-                validate(omega)
+                build(ctx, rows)
             except (NonSkew, EntryNotOrderZero) as error:
                 return type(error), str(error)
             return None
 
-        assert outcome(validate_omega) == outcome(helpers.reference_validate_omega)
+        assert outcome(OmegaSpec) == outcome(helpers.reference_validate_omega)
 
     def test_validate_accepts_standard(self, omega_std, omega_so3, omega_affine):
-        validate_omega(omega_std)
-        validate_omega(omega_so3)
-        validate_omega(omega_affine)
-
-    def test_second_validation_does_no_pair_work(self, omega_so3, ctx1, monkeypatch):
-        # the verdict is recorded once proven; a failure records nothing
-        negations = []
-        negate = Poly.__neg__
-        monkeypatch.setattr(Poly, "__neg__", lambda p: negations.append(p) or negate(p))
-        omega = OmegaSpec(omega_so3.ctx, omega_so3.entries)
-        validate_omega(omega)
-        assert len(negations) == 3      # the pairs a < b with a nonzero entry
-        negations.clear()
-        validate_omega(omega)
-        assert check_poisson_tensor(omega).passed
-        assert negations == []
-        non_skew = omega_from(ctx1, (("0", "1"), ("1", "0")))
-        for check in (validate_omega, validate_omega, check_poisson_tensor):
-            with pytest.raises(NonSkew):
-                check(non_skew)
+        for omega in (omega_std, omega_so3, omega_affine):
+            assert OmegaSpec(omega.ctx, omega.entries) == omega
 
     def test_validate_rejects_non_skew(self, ctx1):
-        with pytest.raises(NonSkew):
-            validate_omega(omega_from(ctx1, (("0", "1"), ("1", "0"))))
-        with pytest.raises(NonSkew):
-            validate_omega(omega_from(ctx1, (("u1", "0"), ("0", "0"))))
+        with pytest.raises(NonSkew, match=r"^omega\[u1,u2\] != -omega\[u2,u1\]$"):
+            omega_from(ctx1, (("0", "1"), ("1", "0")))
+        with pytest.raises(NonSkew, match=r"^omega\[u1,u1\] != -omega\[u1,u1\]$"):
+            omega_from(ctx1, (("u1", "0"), ("0", "0")))
 
     def test_validate_rejects_jet_entries(self, ctx1):
-        with pytest.raises(EntryNotOrderZero):
-            validate_omega(omega_from(ctx1, (("0", "u1_x"), ("-u1_x", "0"))))
+        with pytest.raises(EntryNotOrderZero, match=r"^omega\[u1,u2\] depends on u1_x$"):
+            omega_from(ctx1, (("0", "u1_x"), ("-u1_x", "0")))
 
     def test_validate_rejects_base_entries(self, ctx1):
-        with pytest.raises(EntryNotOrderZero):
-            validate_omega(omega_from(ctx1, (("0", "x"), ("-x", "0"))))
+        with pytest.raises(EntryNotOrderZero, match=r"^omega\[u1,u2\] depends on x$"):
+            omega_from(ctx1, (("0", "x"), ("-x", "0")))
 
 
 class TestPoissonCheck:
@@ -197,8 +180,8 @@ class TestPoissonCheck:
             assert all_vanish == check_poisson_tensor(omega).passed
 
     def test_inadmissible_matrix_raises(self, ctx3):
-        # the scan reads the upper triangle only and assumes skewness, which
-        # OmegaSpec does not enforce; this matrix's upper triangle is zero
+        # the scan reads the upper triangle only and relies on skewness, which
+        # OmegaSpec proves at construction; this matrix's upper triangle is zero
         z, u1, u2, u3 = (parse_expr(t, ctx3) for t in ("0", "u1", "u2", "u3"))
         with pytest.raises(NonSkew, match=r"^omega\[u1,u2\] != -omega\[u2,u1\]$"):
             check_poisson_tensor(OmegaSpec(ctx3, ((z, z, z), (u3, z, z), (u2, u1, z))))

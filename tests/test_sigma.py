@@ -72,8 +72,18 @@ class TestSigmaModelSpec:
         assert spec3.w[1][0] == parse_expr("-u3", ctx)
 
     def test_rejects_non_skew(self):
-        with pytest.raises(NonSkew):
+        # the block structure matrix proves skewness, and names its fibers
+        with pytest.raises(NonSkew, match=r"^omega\[u1,u2\] != -omega\[u2,u1\]$"):
             SigmaModelSpec.from_strings(2, (("0", "1"), ("1", "0")))
+        with pytest.raises(NonSkew, match=r"^omega\[u2,u2\] != -omega\[u2,u2\]$"):
+            SigmaModelSpec.from_strings(2, (("0", "0"), ("0", "u1")))
+
+    def test_omega_is_held_by_the_spec(self, spec3):
+        assert build_sigma(spec3) == (spec3.bundle, spec3.omega)
+        assert build_sigma(spec3)[1] is spec3.omega
+        # equality and hashing read n_fields, w and bundle
+        again = SigmaModelSpec(3, spec3.w, spec3.bundle)
+        assert again == spec3 and hash(again) == hash(spec3)
 
     def test_rejects_entries_outside_fields(self):
         with pytest.raises(ValueError):
@@ -82,6 +92,9 @@ class TestSigmaModelSpec:
             SigmaModelSpec.from_strings(2, (("0", "u1_x0"), ("-u1_x0", "0")))
         with pytest.raises(ValueError):
             SigmaModelSpec.from_strings(2, (("0", "x0"), ("-x0", "0")))
+        # before skewness, which W also breaks here
+        with pytest.raises(ValueError, match="in the fields alone$"):
+            SigmaModelSpec.from_strings(2, (("0", "1"), ("1", "w10")))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
