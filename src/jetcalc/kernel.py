@@ -408,94 +408,170 @@ def _derive_into(out: dict, terms: dict, image: Callable[[Generator], Monomial |
     return out
 
 
-# Packed exponents (Monagan and Pearce, CASC 2007): a monomial over a sorted
-# tuple of generators is one integer, generator i holding its exponent in
-# bits [i*w, (i+1)*w).  When no monomial of a computation, intermediate or
-# final, has degree above `bound` < 2^w, no slot carries: multiplying two
-# monomials is adding their keys, and distinct keys are distinct monomials.
+class _Layout:
+    """Packed exponents (Monagan and Pearce, CASC 2007) for the length of one
+    top-level call.
 
+    A monomial is one integer key: each generator holds its exponent in a bit
+    slot of width w, given to it the first time it is packed or lifted, so the
+    slots need not follow the canonical order and `unpack` sorts the factors.
+    The width is fixed at creation, the least w with `bound` < 2^w, from a
+    degree bound that every monomial of the call, input, intermediate or
+    result, respects.  Then no exponent fills more than its slot, and a key
+    plus a key is the key of the product whenever the product also respects
+    the bound: no slot carries, so the packing is exact and distinct keys are
+    distinct monomials.  The bound is the caller's proof.  For `p ** e` it is
+    e * deg p, and for `substitute` the largest degree a term can reach.
+    Derivations never raise the total degree, and each Euler component of P
+    has degree below deg P, so deg P bounds the Euler operator, and 2 deg
+    omega + deg p + deg q + deg r the Jacobiator: an inner bracket has
+    degree at most deg omega + deg p + deg q - 2, and the Jacobiator 4 less
+    than the bound.
 
-def _profile(terms: Iterable[Monomial]) -> tuple[set[Generator], int]:
-    """The generators and the total degree of a term map, in one pass."""
-    gens: set[Generator] = set()
-    degree = 0
-    for mono in terms:
-        d = 0
-        for g, e in mono.powers:
-            gens.add(g)
-            d += e
-        if d > degree:
-            degree = d
-    return gens, degree
+    D_j acts on a key through the lift table: the slot of x^j loses one, that
+    of u^a_J loses one while the slot of u^a_{J+j} gains one, and every other
+    generator is a constant of D_j.  The table and the slots are filled during
+    the call and dropped with the layout, so nothing keyed by a monomial
+    outlives the call.  A key is as long as its highest slot, so a layout
+    over thousands of generators pays that length on every key operation.
+    """
 
+    __slots__ = ("ctx", "width", "mask", "shift", "_gens", "_lifts")
 
-def _layout(gens: Iterable[Generator],
-            bound: int) -> tuple[tuple[Generator, ...], dict[Generator, int], int]:
-    """The generators in canonical order, the bit offset of each one's slot,
-    and the slot width w, the least with every degree up to `bound` below
-    2^w."""
-    order = tuple(sorted(gens))
-    width = bound.bit_length()
-    return order, {g: i * width for i, g in enumerate(order)}, width
+    def __init__(self, ctx: BundleSpec, bound: int):
+        self.ctx = ctx
+        self.width = bound.bit_length()
+        self.mask = (1 << self.width) - 1
+        self.shift: dict[Generator, int] = {}       # generator -> offset of its slot
+        self._gens: list[Generator] = []            # slot number -> generator
+        self._lifts: dict[tuple[int, int], int | None] = {}   # (offset, j) -> key delta
 
+    def slot(self, g: Generator) -> int:
+        """The bit offset of g's slot, assigned on first use."""
+        s = self.shift.get(g)
+        if s is None:
+            s = self.shift[g] = len(self._gens) * self.width
+            self._gens.append(g)
+        return s
 
-def _pack(terms: dict[Monomial, int], shift: dict[Generator, int]) -> dict[int, int]:
-    """The term map with each monomial replaced by its packed key."""
-    packed = {}
-    for mono, c in terms.items():
-        key = 0
-        for g, e in mono.powers:
-            key += e << shift[g]
-        packed[key] = c
-    return packed
-
-
-def _unpack(ctx: BundleSpec, packed: dict[int, int], order: tuple[Generator, ...],
-            width: int, den: int) -> "Poly":
-    """The polynomial of the packed numerators over `den`, reduced once;
-    zero numerators are dropped.  Slots are read from the lowest, so each
-    power tuple comes out sorted."""
-    mask = (1 << width) - 1
-    terms: dict[Monomial, int] = {}
-    for key, c in packed.items():
-        if not c:
-            continue
-        powers = []
-        for g in order:
-            if not key:
-                break
-            e = key & mask
-            if e:
-                powers.append((g, e))
+    def factors(self, key: int) -> list[tuple[Generator, int, int]]:
+        """The nonzero slots of a key, lowest first, as (generator, offset,
+        exponent).  Each step jumps to the lowest set bit, so the cost
+        follows the factors of the key, not the slots of the layout."""
+        width, mask, gens = self.width, self.mask, self._gens
+        out = []
+        i = 0
+        while key:
+            skip = ((key & -key).bit_length() - 1) // width
+            i += skip
+            key >>= skip * width
+            out.append((gens[i], i * width, key & mask))
             key >>= width
-        terms[Monomial._canonical(tuple(powers))] = c
-    return Poly._reduced(ctx, terms, den)
+            i += 1
+        return out
 
+    def pack(self, terms: dict[Monomial, int]) -> dict[int, int]:
+        """The term map with each monomial replaced by its key."""
+        shift = self.shift
+        packed = {}
+        for mono, c in terms.items():
+            key = 0
+            for g, e in mono.powers:
+                s = shift.get(g)
+                key += e << (self.slot(g) if s is None else s)
+            packed[key] = c
+        return packed
 
-def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two packed numerator maps, without zero terms."""
-    out: dict[int, int] = {}
-    get = out.get
-    pairs = tuple(b.items())
-    for k1, c1 in a.items():
-        for k2, c2 in pairs:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    def pack_over(self, polys: Iterable["Poly"]) -> tuple[list[dict[int, int]], int]:
+        """The packed numerators of `polys` over their least common
+        denominator, and that denominator."""
+        polys = list(polys)
+        den = 1
+        for p in polys:
+            den = lcm(den, p._den)
+        return [{k: c * (den // p._den) for k, c in self.pack(p._terms).items()}
+                for p in polys], den
 
+    def unpack(self, packed: dict[int, int], den: int) -> "Poly":
+        """The polynomial of the packed numerators over `den`, reduced once;
+        zero numerators are dropped.  Every key is read through all slots of
+        the layout in canonical order; finding the occupied slots first
+        costs more than it saves on the maps unpacked here."""
+        mask = self.mask
+        slots = sorted(self.shift.items())
+        terms: dict[Monomial, int] = {}
+        for key, c in packed.items():
+            if c:
+                powers = []
+                for g, s in slots:
+                    e = key >> s & mask
+                    if e:
+                        powers.append((g, e))
+                terms[Monomial._canonical(tuple(powers))] = c
+        return Poly._reduced(self.ctx, terms, den)
 
-def _ppow(a: dict[int, int], exponent: int) -> dict[int, int]:
-    """a ** exponent, for exponent >= 1, by binary powering.  Squares stop at
-    the top bit of the exponent, so no factor has higher degree than the
-    result."""
-    out = None
-    while True:
-        if exponent & 1:
-            out = a if out is None else _pmul(out, a)
-        exponent >>= 1
-        if not exponent:
-            return out
-        a = _pmul(a, a)
+    @staticmethod
+    def mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        """The product of two packed numerator maps, without zero terms."""
+        out: dict[int, int] = {}
+        get = out.get
+        pairs = tuple(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return {k: c for k, c in out.items() if c}
+
+    def pow(self, a: dict[int, int], exponent: int) -> dict[int, int]:
+        """a ** exponent, for exponent >= 1, by binary powering.  Squares stop
+        at the top bit of the exponent, so no factor has higher degree than
+        the result."""
+        out = None
+        while True:
+            if exponent & 1:
+                out = a if out is None else self.mul(out, a)
+            exponent >>= 1
+            if not exponent:
+                return out
+            a = self.mul(a, a)
+
+    def _lift(self, g: Generator, s: int, j: int) -> int | None:
+        """What D_j adds to a key per unit of g's exponent, or None where g
+        is a constant of D_j."""
+        lifts = self._lifts
+        if (s, j) in lifts:
+            return lifts[s, j]
+        if g.kind == _JET:
+            delta = (1 << self.slot(Generator.jet(g.pos, g.index.extended(j)))) - (1 << s)
+        elif g == Generator.base(j):
+            delta = -(1 << s)
+        else:
+            delta = None
+        lifts[s, j] = delta
+        return delta
+
+    def derive_into(self, out: dict[int, int], terms: dict[int, int], j: int,
+                    scale: int) -> None:
+        """Add `scale` times D_j of the packed map `terms` to `out`, keeping
+        `out` free of zero numerators: g^e gives e * g^(e-1) * D_j g."""
+        mask = self.mask
+        occupied = 0
+        for key in terms:
+            occupied |= key
+        moves = [(s, delta) for g, s, _ in self.factors(occupied)
+                 if (delta := self._lift(g, s, j)) is not None]
+        get = out.get
+        for key, c in terms.items():
+            c *= scale
+            for s, delta in moves:
+                e = key >> s & mask
+                if e:
+                    k = key + delta
+                    v = get(k, 0) + c * e
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
 
 
 class Poly:
@@ -635,7 +711,16 @@ class Poly:
         return _max_order(self._terms)
 
     def total_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        """The largest total degree of a term (0 for zero), in one loop: it
+        sets the width of every packed layout."""
+        degree = 0
+        for mono in self._terms:
+            d = 0
+            for _, e in mono.powers:
+                d += e
+            if d > degree:
+                degree = d
+        return degree
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -661,11 +746,14 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         """The product, by merging the sorted factor tuples of each term pair
-        (`Monomial.times`).  `substitute` and `**` multiply in packed
-        exponents instead; a single product here is mostly small (1 to 32
-        term pairs in the `jacobi` benchmark), so a per-call packing layout
-        costs more than it saves: packed, that benchmark ran 162 tasks/s
-        against 187 merged (medians of six runs)."""
+        (`Monomial.times`).  `substitute`, `**`, the Euler operator and the
+        bracket pairings multiply in packed exponents (`_Layout`) instead.
+        A single product here is mostly small (1 to 32 term pairs in the
+        `jacobi` benchmark), so packing it alone costs more than it saves:
+        packed per product, that benchmark ran 162 tasks/s against 187
+        merged (medians of six runs).  Packing pays where one layout serves
+        a chain of steps, as across a Jacobiator, and only the result is
+        unpacked."""
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -692,10 +780,9 @@ class Poly:
             raise ValueError("exponent must be a non-negative integer")
         if not exponent:
             return Poly.const(self.ctx, 1)
-        gens, degree = _profile(self._terms)
-        order, shift, width = _layout(gens, exponent * degree)
-        return _unpack(self.ctx, _ppow(_pack(self._terms, shift), exponent), order, width,
-                       self._den ** exponent)
+        layout = _Layout(self.ctx, exponent * self.total_degree())
+        return layout.unpack(layout.pow(layout.pack(self._terms), exponent),
+                             self._den ** exponent)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -745,9 +832,8 @@ class Poly:
         Generators absent from the mapping are left fixed.  The substitution
         is simultaneous: replacement polynomials are never re-substituted.
 
-        The expansion runs in packed exponents.  The layout holds the fixed
-        generators and those of every replacement in use, with slots wide
-        enough for the largest degree a term can reach, the sum of e *
+        The expansion runs in packed exponents, in one `_Layout` with slots
+        wide enough for the largest degree a term can reach, the sum of e *
         deg(replacement) and of its fixed exponents; every power and partial
         product of a term has at most that degree, so the packing is exact.
         Each replacement is packed once and each power g^e computed once per
@@ -760,26 +846,24 @@ class Poly:
             if not g.declared_in(ctx):
                 raise UnknownName(repr(g))
             _same_chart(ctx, q.ctx, "replacement polynomial over a different chart")
-        profiles: dict[Generator, tuple[set[Generator], int]] = {}
-        gens: set[Generator] = set()
+        degrees: dict[Generator, int] = {}
         bound = 0
         for mono in self._terms:
             degree = 0
             for g, e in mono.powers:
                 rep = mapping.get(g)
                 if rep is None:
-                    gens.add(g)
                     degree += e
                     continue
-                profile = profiles.get(g)
-                if profile is None:
-                    profile = profiles[g] = _profile(rep._terms)
-                    gens |= profile[0]
-                degree += e * profile[1]
+                d = degrees.get(g)
+                if d is None:
+                    d = degrees[g] = rep.total_degree()
+                degree += e * d
             if degree > bound:
                 bound = degree
-        order, shift, width = _layout(gens, bound)
-        packed = {g: (_pack(mapping[g]._terms, shift), mapping[g]._den) for g in profiles}
+        layout = _Layout(ctx, bound)
+        shift, slot = layout.shift, layout.slot
+        packed = {g: (layout.pack(mapping[g]._terms), mapping[g]._den) for g in degrees}
         powers: dict[tuple[Generator, int], tuple[dict[int, int], int]] = {}
         terms: dict[int, int] = {}
         get = terms.get
@@ -791,12 +875,13 @@ class Poly:
             for g, e in mono.powers:
                 rep = packed.get(g)
                 if rep is None:
-                    head += e << shift[g]
+                    s = shift.get(g)
+                    head += e << (slot(g) if s is None else s)
                     continue
                 powered = powers.get((g, e))
                 if powered is None:
-                    powered = powers[g, e] = (_ppow(rep[0], e), rep[1] ** e)
-                replaced = powered[0] if replaced is None else _pmul(replaced, powered[0])
+                    powered = powers[g, e] = (layout.pow(rep[0], e), rep[1] ** e)
+                replaced = powered[0] if replaced is None else layout.mul(replaced, powered[0])
                 replaced_den *= powered[1]
             if replaced is None:
                 replaced = {0: 1}
@@ -806,7 +891,7 @@ class Poly:
             for k, v in replaced.items():
                 k += head
                 terms[k] = get(k, 0) + c * v
-        return _unpack(ctx, terms, order, width, self._den * den)
+        return layout.unpack(terms, self._den * den)
 
     def __str__(self) -> str:
         from .dsl import render_expr

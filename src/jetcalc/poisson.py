@@ -21,9 +21,11 @@ divergence, which is the exactness that the sh-Lie correction l3 inverts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .kernel import BundleSpec, ChartMismatch, CheckReport, JetcalcError, Poly, _same_chart
-from .varcalc import euler, is_divergence
+from .kernel import (BundleSpec, ChartMismatch, CheckReport, JetcalcError, Poly, _common_den,
+                     _Layout, _same_chart)
+from .varcalc import _euler, is_divergence
 
 
 class NonSkew(JetcalcError):
@@ -113,19 +115,69 @@ def check_poisson_tensor(omega: OmegaSpec) -> CheckReport:
                           for a, b, c in sorted(triples))
 
 
-def _pairing(ep: tuple[Poly, ...], eq: tuple[Poly, ...], omega: OmegaSpec) -> Poly:
-    """omega^{ab} ep[a] eq[b] on two tuples of Euler components."""
+# Packed operands of one `_Layout`: a vector holds one numerator map per
+# fiber, and omega its nonzero entries as (a, b, map); each is over one
+# denominator.
+_Vector = tuple[list[dict[int, int]], int]
+_Omega = tuple[list[tuple[int, int, dict[int, int]]], int]
+
+
+def _same_charts(omega: OmegaSpec, densities: Iterable[Poly]) -> None:
+    """Raise ChartMismatch at the first density over another chart than omega."""
+    for density in densities:
+        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
+
+
+def _degree(omega: OmegaSpec) -> int:
+    """The largest total degree of an entry of omega."""
+    return max(entry.total_degree() for row in omega.entries for entry in row)
+
+
+def _packed_omega(layout: _Layout, omega: OmegaSpec) -> _Omega:
+    """omega's nonzero entries as (a, b, packed map), over their least common
+    denominator."""
     m = omega.ctx.m
-    return Poly.sum(omega.ctx, (omega.entry(a, b) * ep[a] * eq[b]
-                                for a in range(m) if ep[a]
-                                for b in range(m) if omega.entry(a, b) and eq[b]))
+    maps, den = layout.pack_over(entry for row in omega.entries for entry in row)
+    return [(a, b, maps[a * m + b]) for a in range(m) for b in range(m) if maps[a * m + b]], den
+
+
+def _euler_vector(layout: _Layout, density: Poly) -> _Vector:
+    """The packed Euler components of a density, over its denominator."""
+    return _euler(layout, layout.pack(density._terms)), density._den
+
+
+def _pairing(omega: _Omega, pairs: Iterable[tuple[_Vector, _Vector]]) -> tuple[dict[int, int], int]:
+    """The sum over `pairs` (x, y) of omega^{ab} x[a] y[b], for a packed
+    omega and packed vectors of one layout, as one packed map without zero
+    numerators and its denominator.  Multiplying two monomials is adding
+    their keys; the running sum is kept over the least common denominator of
+    the pairs so far, as in `Poly.sum`."""
+    entries, dw = omega
+    out: dict[int, int] = {}
+    get = out.get
+    den = 1
+    for (xs, dx), (ys, dy) in pairs:
+        den, scale = _common_den(out, den, dw * dx * dy)
+        for a, b, w in entries:
+            x, y = xs[a], ys[b]
+            if not x or not y:
+                continue
+            y = tuple(y.items())
+            for k1, c1 in _Layout.mul(w, x).items():
+                c1 *= scale
+                for k2, c2 in y:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}, den
 
 
 def l2_density(p: Poly, q: Poly, omega: OmegaSpec) -> Poly:
-    """Bracket density omega^{ab} E_a(p) E_b(q)."""
-    for density in (p, q):
-        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
-    return _pairing(euler(p), euler(q), omega)
+    """Bracket density omega^{ab} E_a(p) E_b(q), paired in one layout bounded
+    by deg omega + deg p + deg q."""
+    _same_charts(omega, (p, q))
+    layout = _Layout(omega.ctx, _degree(omega) + p.total_degree() + q.total_degree())
+    pairs = ((_euler_vector(layout, p), _euler_vector(layout, q)),)
+    return layout.unpack(*_pairing(_packed_omega(layout, omega), pairs))
 
 
 @dataclass
@@ -145,22 +197,35 @@ def bracket(p: FunctionalClass, q: FunctionalClass, omega: OmegaSpec) -> Functio
     return FunctionalClass(l2_density(p.density, q.density, omega))
 
 
+def _jacobiator_bound(omega: OmegaSpec, p: Poly, q: Poly, r: Poly) -> int:
+    """A degree bound for the Jacobiator's layout: 2 deg omega + deg p +
+    deg q + deg r.  An inner bracket has degree at most deg omega + deg p +
+    deg q - 2, and the Jacobiator at most 4 less than the bound."""
+    return 2 * _degree(omega) + p.total_degree() + q.total_degree() + r.total_degree()
+
+
 def jacobiator(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> Poly:
     """Nested-bracket density with (2,1)-unshuffle signs:
 
-    l2(l2(p,q), r) - l2(l2(p,r), q) + l2(l2(q,r), p).
+    l2(l2(p,q), r) - l2(l2(p,r), q) + l2(l2(q,r), p),
 
-    Each Euler component is computed once: those of p, q and r, and those
-    of the three inner brackets, six `euler` calls in all.
+    computed in one layout (`_jacobiator`).
     """
-    for density in (p, q, r):
-        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
-    return _jacobiator(euler(p), euler(q), euler(r), omega)
+    _same_charts(omega, (p, q, r))
+    layout = _Layout(omega.ctx, _jacobiator_bound(omega, p, q, r))
+    return _jacobiator(layout, _packed_omega(layout, omega),
+                       *(_euler_vector(layout, density) for density in (p, q, r)))
 
 
-def _jacobiator(ep: tuple[Poly, ...], eq: tuple[Poly, ...], er: tuple[Poly, ...],
-                omega: OmegaSpec) -> Poly:
-    """The Jacobiator from the Euler components of its three densities."""
-    pq, pr, qr = (euler(_pairing(x, y, omega)) for x, y in ((ep, eq), (ep, er), (eq, er)))
-    return Poly.sum(omega.ctx, (_pairing(pq, er, omega), -_pairing(pr, eq, omega),
-                                _pairing(qr, ep, omega)))
+def _jacobiator(layout: _Layout, omega: _Omega, ep: _Vector, eq: _Vector, er: _Vector) -> Poly:
+    """The Jacobiator from the packed Euler vectors of its three densities.
+
+    Everything stays packed in `layout` between steps: the three inner
+    brackets, their three Euler vectors and the outer pairings, each a sum
+    of products by key addition.  Only the Jacobiator is unpacked.  omega is
+    skew, so -l2(l2(p,r), q) is l2(q, l2(p,r)), and the outer brackets are
+    one signless sum of pairings.
+    """
+    pq, pr, qr = ((_euler(layout, t), den) for t, den in
+                  (_pairing(omega, ((x, y),)) for x, y in ((ep, eq), (ep, er), (eq, er))))
+    return layout.unpack(*_pairing(omega, ((pq, er), (eq, pr), (qr, ep))))

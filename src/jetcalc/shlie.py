@@ -20,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kernel import CheckReport, Poly, _same_chart
-from .poisson import OmegaSpec, _jacobiator, _pairing, jacobiator, l2_density
-from .varcalc import DegreeError, HorizontalForm, Unsupported, d_h, euler, homotopy_s
+from .kernel import CheckReport, Poly, _Layout
+from .poisson import (OmegaSpec, _degree, _euler_vector, _jacobiator, _jacobiator_bound,
+                      _packed_omega, _pairing, _same_charts, _Vector, jacobiator,
+                      l2_density)
+from .varcalc import DegreeError, HorizontalForm, Unsupported, d_h, homotopy_s
 
 
 @dataclass(frozen=True)
@@ -95,25 +97,41 @@ def check_shlie_relations(omega: OmegaSpec,
     For each pair (f, g): l2 of the density f against d_h of the degree-1
     element carried by g must vanish.  For each triple (p, q, r) over a
     one-dimensional base: the Jacobiator plus d_h of l3 must vanish.  Nonzero
-    residuals are reported at `pair[k]` and `triple[k]`.  Each distinct
-    density's Euler components are computed once per call, each triple's
-    Jacobiator once, and l3 is the homotopy applied to that Jacobiator.
+    residuals are reported at `pair[k]` and `triple[k]`.  The call runs in
+    one packed layout, bounded as the largest of its brackets and
+    Jacobiators: each distinct density's Euler components are computed once
+    per call and kept packed, each triple's Jacobiator once, and l3 is the
+    homotopy applied to that Jacobiator.
     """
     if triples and omega.ctx.n != 1:
         raise Unsupported("l3 is implemented over a one-dimensional base")
-    components: dict[Poly, tuple[Poly, ...]] = {}
+    brackets = []
+    for f, g in pairs:
+        form = g if isinstance(g, HorizontalForm) else HorizontalForm.scalar(g)
+        brackets.append((f, l1(GradedElement(1, form)).form.density_coefficient()))
+        _same_charts(omega, brackets[-1])
+    for triple in triples:
+        _same_charts(omega, triple)
+    degree = _degree(omega)
+    layout = _Layout(omega.ctx, max([degree + f.total_degree() + dg.total_degree()
+                                     for f, dg in brackets]
+                                    + [_jacobiator_bound(omega, *triple) for triple in triples],
+                                    default=degree))
+    packed_omega = _packed_omega(layout, omega)
+    components: dict[Poly, _Vector] = {}
 
-    def euler_once(density: Poly) -> tuple[Poly, ...]:
-        _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
-        return components.get(density) or components.setdefault(density, euler(density))
+    def euler_once(density: Poly) -> _Vector:
+        vector = components.get(density)
+        if vector is None:
+            vector = components[density] = _euler_vector(layout, density)
+        return vector
 
     residuals: list[tuple[str, Poly]] = []
-    for k, (f, g) in enumerate(pairs):
-        form = g if isinstance(g, HorizontalForm) else HorizontalForm.scalar(g)
-        dg = l1(GradedElement(1, form)).form.density_coefficient()
-        residuals.append((f"pair[{k}]", _pairing(euler_once(f), euler_once(dg), omega)))
+    for k, (f, dg) in enumerate(brackets):
+        residuals.append((f"pair[{k}]", layout.unpack(
+            *_pairing(packed_omega, ((euler_once(f), euler_once(dg)),)))))
     for k, (p, q, r) in enumerate(triples):
-        jac = _jacobiator(euler_once(p), euler_once(q), euler_once(r), omega)
+        jac = _jacobiator(layout, packed_omega, euler_once(p), euler_once(q), euler_once(r))
         correction = d_h(homotopy_s(HorizontalForm.density(jac))).density_coefficient()
         residuals.append((f"triple[{k}]", jac + correction))
     return CheckReport.of(residuals)

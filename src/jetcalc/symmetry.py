@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly,
-                     _same_chart)
-from .poisson import OmegaSpec, _pairing, l2_density
+                     _Layout, _same_chart)
+from .poisson import OmegaSpec, _degree, _packed_omega, _pairing, l2_density
 from .varcalc import HorizontalForm, d_h, euler, iterated_total_derivative
 
 
@@ -47,9 +47,16 @@ def _check_fiber_map(ctx: BundleSpec, polys: tuple[Poly, ...], label: str):
 class Automorphism:
     """A fiber map with explicit inverse over the identity base map.
 
-    `Automorphism(ctx, psi, psi_inv)` validates both directions by pullback:
-    each psi^a pulled back by the inverse, and each psi_inv^a pulled back by
-    the map, must give u^a again.  The results of `identity`, `compose`,
+    `Automorphism(ctx, psi, psi_inv)` validates the pair by pullback: each
+    psi^a pulled back by the inverse must give u^a again, one pullback per
+    fiber.  That is enough.  If F after G is the identity, for polynomial
+    self-maps F = psi and G = psi_inv of affine space over the complex
+    numbers (x and the parameters held fixed), then G is injective, and an
+    injective polynomial self-map is bijective (Ax-Grothendieck: Ax, Ann.
+    of Math. 88, 1968), so G after F is the identity as well.  Only when
+    that first pass fails are the two sides checked fiber by fiber, right
+    inverse first, so the first failure is still named as `right` or `left
+    inverse on fiber ...`.  The results of `identity`, `compose`,
     `inverse` and `sigma.orthogonal_action` are valid by construction or by
     their own proof and are not re-checked.  `inverse` swaps the two fiber
     maps, so its inverse equals this automorphism again.  Equality and
@@ -66,9 +73,12 @@ class Automorphism:
         _check_fiber_map(ctx, self.psi_inv, "psi_inv")
         object.__setattr__(self, "_prolong_cache", {})
         inverse = self.inverse()
-        for a in range(ctx.m):
-            u_a = Poly.generator(ctx, Generator.jet(a))
-            if pullback(self.psi[a], inverse) != u_a:
+        coords = [Poly.generator(ctx, Generator.jet(a)) for a in range(ctx.m)]
+        right = [pullback(psi_a, inverse) == u_a for psi_a, u_a in zip(self.psi, coords)]
+        if all(right):
+            return
+        for a, u_a in enumerate(coords):
+            if not right[a]:
                 raise ValueError(f"psi_inv is not a right inverse on fiber {ctx.fibers[a]}")
             if pullback(self.psi_inv[a], self) != u_a:
                 raise ValueError(f"psi_inv is not a left inverse on fiber {ctx.fibers[a]}")
@@ -157,14 +167,21 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
         omega^{ab}(psi(u)) - sum_{c,d} omega^{cd} dpsi^a/du^c dpsi^b/du^d
 
     must vanish; failing pairs are reported at `omega[a,b]` with their
-    residuals.  The sum is the bracket density's pairing of Jacobian rows.
+    residuals.  The sum is the bracket density's pairing of Jacobian rows,
+    in one layout bounded by deg omega + twice the largest degree of a
+    Jacobian entry.
     """
     ctx = omega.ctx
     _same_chart(ctx, auto.ctx, "automorphism over a different chart")
     jacobian = _jacobian(auto)
+    layout = _Layout(ctx, _degree(omega) + 2 * max(d.total_degree() for row in jacobian
+                                                   for d in row))
+    packed_omega = _packed_omega(layout, omega)
+    rows = [layout.pack_over(row) for row in jacobian]
     return CheckReport.of(
         (f"omega[{ctx.fibers[a]},{ctx.fibers[b]}]",
-         pullback(omega.entry(a, b), auto) - _pairing(jacobian[a], jacobian[b], omega))
+         pullback(omega.entry(a, b), auto)
+         - layout.unpack(*_pairing(packed_omega, ((rows[a], rows[b]),))))
         for a in range(ctx.m) for b in range(ctx.m))
 
 

@@ -21,8 +21,12 @@ multi-indices: with
     T(I) = dP/du^a_I - sum over j >= last(I) of D_j T(I+j),
 
 E_a(P) = T(()), so each occurring nonempty prefix costs one total derivative
-instead of one per multi-index it prefixes.  The fold runs on integer
-numerators over P's denominator, and each component is reduced once.
+instead of one per multi-index it prefixes.  The fold (`_euler`) runs in
+packed exponents: every T(I) is a map from integer keys of a kernel
+`_Layout` to integer numerators over P's denominator, and D_j adds to each
+key what the layout's lift table gives for its generators.  `euler` unpacks
+and reduces each component once; the bracket pairings and the Jacobiator
+(`poisson`) keep the components packed in their own layout.
 
 A polynomial density over a one-dimensional base is a total derivative if and
 only if all its Euler components vanish; `invert_total_derivative` produces
@@ -35,7 +39,7 @@ import operator
 from typing import Callable, Iterable, Mapping
 
 from .kernel import (_JET, UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex,
-                     Poly, _common_den, _derive_into, _lowered, _max_order, _same_chart)
+                     Poly, _common_den, _derive_into, _Layout, _max_order, _same_chart)
 
 
 class DegreeError(JetcalcError):
@@ -210,8 +214,9 @@ def d_h(form: HorizontalForm) -> HorizontalForm:
                           {key: Poly.sum(ctx, terms) for key, terms in parts.items()})
 
 
-def euler(p: Poly) -> tuple[Poly, ...]:
-    """All Euler-Lagrange components of a density, one per fiber.
+def _euler(layout: _Layout, terms: dict[int, int]) -> list[dict[int, int]]:
+    """The Euler components of a packed density, one packed map per fiber,
+    as numerators over the density's own denominator.
 
     The signed sum over multi-indices is evaluated in nested (Horner) form.
     With T(I) = dP/du^a_I - sum over j >= last(I) of D_j T(I+j), the
@@ -219,29 +224,40 @@ def euler(p: Poly) -> tuple[Poly, ...]:
     along exactly one path, appending entries in increasing order, so the
     sign is (-1)^|I| as in the definition, and each occurring nonempty
     prefix costs one D_j, subtracted in place from the map of its parent.
+    One walk over the keys collects every dP/du^a_I.  A partial lowers the
+    degree and a total derivative never raises it, so every T(I) respects
+    any bound that P does, and the layout stays exact.
     """
-    ctx = p.ctx
-    buckets: list[dict[tuple[int, ...], dict[Monomial, int]]] = [{} for _ in range(ctx.m)]
-    for mono, c in p._terms.items():
-        powers = mono.powers
-        for i, (g, e) in enumerate(powers):
+    factors = layout.factors
+    buckets: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(layout.ctx.m)]
+    for key, c in terms.items():
+        for g, s, e in factors(key):
             if g.kind == _JET:
-                buckets[g.pos].setdefault(g.index, {})[_lowered(powers, i, g, e)] = c * e
-    lifts = [_lift(j) for j in range(ctx.n)]
+                buckets[g.pos].setdefault(g.index, {})[key - (1 << s)] = c * e
     components = []
     for bucket in buckets:
         for k in range(max(map(len, bucket), default=0), 0, -1):
             for index in [index for index in bucket if len(index) == k]:
                 t = bucket.pop(index)
                 if t:
-                    _derive_into(bucket.setdefault(index[:-1], {}), t, lifts[index[-1]], -1)
-        components.append(Poly._reduced(ctx, bucket.get((), {}), p._den))
-    return tuple(components)
+                    layout.derive_into(bucket.setdefault(index[:-1], {}), t, index[-1], -1)
+        components.append(bucket.get((), {}))
+    return components
+
+
+def euler(p: Poly) -> tuple[Poly, ...]:
+    """All Euler-Lagrange components of a density, one per fiber: the packed
+    fold `_euler` in a layout bounded by deg P, each component unpacked and
+    reduced once."""
+    layout = _Layout(p.ctx, p.total_degree())
+    return tuple(layout.unpack(t, p._den) for t in _euler(layout, layout.pack(p._terms)))
 
 
 def is_divergence(p: Poly) -> bool:
-    """True when every Euler component of the density vanishes."""
-    return all(component.is_zero for component in euler(p))
+    """True when every Euler component of the density vanishes; the packed
+    components are tested, and none is unpacked."""
+    layout = _Layout(p.ctx, p.total_degree())
+    return not any(_euler(layout, layout.pack(p._terms)))
 
 
 def invert_total_derivative(h: Poly) -> Poly:

@@ -32,6 +32,7 @@ from jetcalc import (
     UnknownName,
     check_covariance,
     l2_density,
+    pullback,
     pullback_form,
     total_derivative,
 )
@@ -186,6 +187,37 @@ def reference_euler(p):
                 term = reference_total_derivative(term, i)
             parts[g.pos].append(-term if g.order % 2 else term)
     return tuple(Poly.sum(p.ctx, fiber) for fiber in parts)
+
+
+def reference_l2(p, q, omega):
+    """The bracket density by its definition, from `reference_euler` and
+    `Poly` products: the sum of omega^{ab} E_a(p) E_b(q)."""
+    ep, eq = reference_euler(p), reference_euler(q)
+    m = omega.ctx.m
+    return Poly.sum(omega.ctx, (omega.entry(a, b) * ep[a] * eq[b]
+                                for a in range(m) for b in range(m)))
+
+
+def reference_jacobiator(p, q, r, omega):
+    """The Jacobiator as nested brackets with the (2,1)-unshuffle signs:
+    l2(l2(p,q), r) - l2(l2(p,r), q) + l2(l2(q,r), p)."""
+    return (reference_l2(reference_l2(p, q, omega), r, omega)
+            - reference_l2(reference_l2(p, r, omega), q, omega)
+            + reference_l2(reference_l2(q, r, omega), p, omega))
+
+
+def reference_automorphism_error(ctx, psi, psi_inv):
+    """The message of the two-sided inverse check fiber by fiber, right
+    inverse first, or None when both sides hold on every fiber."""
+    forward = Automorphism._trusted(ctx, psi, psi_inv)
+    inverse = forward.inverse()
+    for a in range(ctx.m):
+        u_a = Poly.generator(ctx, Generator.jet(a))
+        if pullback(psi[a], inverse) != u_a:
+            return f"psi_inv is not a right inverse on fiber {ctx.fibers[a]}"
+        if pullback(psi_inv[a], forward) != u_a:
+            return f"psi_inv is not a left inverse on fiber {ctx.fibers[a]}"
+    return None
 
 
 def reference_check_invariance(form, group):
@@ -542,6 +574,30 @@ def near_skew_omegas(draw):
         if draw(st.booleans()):
             entries[b][a] = entries[b][a] - term
     return ctx, tuple(tuple(row) for row in entries)
+
+
+@st.composite
+def near_inverse_pairs(draw):
+    """A chart on 1 to 3 fibers over (x) and the fiber maps (psi, psi_inv)
+    of a random automorphism, with up to two defects: an entry of either
+    map gains a small multiple of 1, x, a fiber or a squared fiber, or is
+    scaled by 2, -1 or 1/2.  A defect mostly, not always, breaks the
+    inverse."""
+    m = draw(st.integers(1, 3))
+    ctx = BundleSpec(("x",), tuple(f"u{a + 1}" for a in range(m)))
+    auto = random_automorphism(seeded(draw(st.integers(0, 2 ** 16))), ctx)
+    maps = [list(auto.psi), list(auto.psi_inv)]
+    coords = fiber_coordinates(ctx)
+    pool = [Poly.const(ctx, 1), Poly.generator(ctx, Generator.base(0))] + coords + [
+        u * u for u in coords]
+    for _ in range(draw(st.integers(0, 2))):
+        side, a = maps[draw(st.integers(0, 1))], draw(st.integers(0, m - 1))
+        factor = draw(st.sampled_from((2, -1, Fraction(1, 2))))
+        if draw(st.booleans()):
+            side[a] = side[a] + draw(st.sampled_from(pool)) * factor
+        else:
+            side[a] = side[a] * factor
+    return ctx, tuple(maps[0]), tuple(maps[1])
 
 
 def assert_canonical(p):

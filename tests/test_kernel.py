@@ -463,7 +463,7 @@ class TestPackedExponents:
     def test_degree_bound_at_slot_edge(self, n):
         """A degree bound of 2^w - 1 fills a slot of width w; 2^w needs one
         bit more.  Every case puts the bound in the top and in a lower slot."""
-        assert kernel._layout((), n)[2] == n.bit_length()
+        assert kernel._Layout(self.CTX, n).width == n.bit_length()
         x, u1, u2, k = map(self.gen, (self.X, self.U1, self.U2, self.K))
         for p in (x + u1 + u2 + k, x - 2 * u2, Fraction(1, 3) * u1 * u2 + k):
             result = p ** n

@@ -462,9 +462,11 @@ class TestJacobiator:
                 jacobiator(*args, omega_std)
 
     def test_each_euler_component_once(self, ctx1, omega_std, monkeypatch):
+        # The packed fold runs once per density and once per inner bracket.
         calls = []
-        euler = jetcalc.poisson.euler
-        monkeypatch.setattr(jetcalc.poisson, "euler", lambda p: calls.append(p) or euler(p))
+        fold = jetcalc.poisson._euler
+        monkeypatch.setattr(jetcalc.poisson, "_euler",
+                            lambda layout, terms: calls.append(terms) or fold(layout, terms))
         p, q, r = (parse_expr(s, ctx1) for s in ("u1*u2_x", "u1*u2", "u1^2"))
         assert jacobiator(p, q, r, omega_std) == parse_expr("4*u1*u1_x", ctx1)
         assert len(calls) == 6

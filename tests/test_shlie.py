@@ -1,10 +1,13 @@
 """Graded elements and the l1, l2, l3 structure maps."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import jetcalc.poisson
 import jetcalc.shlie
 from jetcalc import (
+    BundleSpec,
+    ChartMismatch,
     CheckReport,
     DegreeError,
     GradedElement,
@@ -28,6 +31,27 @@ import helpers
 
 def omega_from(ctx, rows):
     return OmegaSpec(ctx, tuple(tuple(parse_expr(s, ctx) for s in row) for row in rows))
+
+
+def _standard_omegas(dims):
+    """The constant, the affine (1 + u1^2) and the so(3) structure matrix over
+    a base with the given directions."""
+    plane, space = BundleSpec(dims, ("u1", "u2")), BundleSpec(dims, ("u1", "u2", "u3"))
+    return (omega_from(plane, (("0", "1"), ("-1", "0"))),
+            omega_from(plane, (("0", "1 + u1^2"), ("-1 - u1^2", "0"))),
+            omega_from(space, (("0", "u3", "-u2"), ("-u3", "0", "u1"), ("u2", "-u1", "0"))))
+
+
+LINE_OMEGAS, PLANE_OMEGAS = _standard_omegas(("x",)), _standard_omegas(("x", "y"))
+
+
+def _triple(omega, *texts):
+    return (omega,) + tuple(parse_expr(text, omega.ctx) for text in texts)
+
+
+# A structure matrix over a 1- or 2-D base and three densities over its chart.
+jacobiator_inputs = st.sampled_from(LINE_OMEGAS + PLANE_OMEGAS).flatmap(
+    lambda omega: st.tuples(st.just(omega), *(helpers.densities(omega.ctx, 2) for _ in range(3))))
 
 
 class TestGradedElement:
@@ -120,6 +144,22 @@ class TestL3:
             correction = d_h(l3(p, q, r, omega_std).form).density_coefficient()
             assert (jac + correction).is_zero
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(jacobiator_inputs)
+    # Degree bounds 2 deg omega + deg p + deg q + deg r of 7, 8, 15 and 16,
+    # at and just past the top of a slot width.
+    @example(_triple(LINE_OMEGAS[0], "u1^2*u2_x", "u1*u2_x", "u2^2"))
+    @example(_triple(LINE_OMEGAS[2], "u1*u2_x*u3", "u3*u1_x", "u2"))
+    @example(_triple(LINE_OMEGAS[1], "u1^3*u2_xx^2", "u1*u2_x^3", "u2_x*u1"))
+    @example(_triple(PLANE_OMEGAS[2], "u1_x*u2_y^3*u3", "u3^2*u1_xy^2*u2", "u2_y*u1^3"))
+    def test_jacobiator_matches_nested_reference(self, drawn):
+        # Over a 1-D base the corrector closes the third relation as well.
+        omega, p, q, r = drawn
+        jac = jacobiator(p, q, r, omega)
+        assert jac == helpers.reference_jacobiator(p, q, r, omega)
+        if omega.ctx.n == 1:
+            assert (jac + d_h(l3(p, q, r, omega).form).density_coefficient()).is_zero
+
     def test_two_dim_unsupported(self, ctx2):
         omega = omega_from(ctx2, (("0", "1"), ("-1", "0")))
         u = parse_expr("u1", ctx2)
@@ -150,15 +190,29 @@ class TestCheckRelations:
         report = check_shlie_relations(omega_std, pairs=[(f, g)])
         assert report.passed
 
+    def test_arguments_fail_in_order(self, ctx1, ctx3, omega_std):
+        # Each pair is checked (l1 of g, then the charts of f and D_x g)
+        # before the next, and all before the layout is sized, so the first
+        # bad pair decides the error.
+        u = parse_expr("u1", ctx1)
+        foreign = parse_expr("u1", ctx3)
+        one_form = HorizontalForm.density(u)
+        with pytest.raises(ChartMismatch, match="density over a different chart than omega"):
+            check_shlie_relations(omega_std, pairs=[(foreign, u), (u, one_form)])
+        with pytest.raises(DegreeError, match="needs a 0-form, got a 1-form"):
+            check_shlie_relations(omega_std, pairs=[(u, one_form), (foreign, u)])
+        with pytest.raises(ChartMismatch):
+            check_shlie_relations(omega_std, triples=[(u, u, foreign)], pairs=[(u, u)])
+
     def test_one_jacobiator_per_triple(self, ctx1, omega_std, monkeypatch):
-        # The check builds each Jacobiator from Euler components it computes
-        # itself (shlie's `euler`) and the inner brackets' (poisson's).
+        # The check builds each Jacobiator from packed Euler vectors of its
+        # densities and of the inner brackets: one packed fold each.
         jacobiators, eulers = [], []
-        jac, euler = jetcalc.shlie._jacobiator, jetcalc.poisson.euler
+        jac, fold = jetcalc.shlie._jacobiator, jetcalc.poisson._euler
         monkeypatch.setattr(jetcalc.shlie, "_jacobiator",
                             lambda *args: jacobiators.append(args) or jac(*args))
-        for module in (jetcalc.shlie, jetcalc.poisson):
-            monkeypatch.setattr(module, "euler", lambda p: eulers.append(p) or euler(p))
+        monkeypatch.setattr(jetcalc.poisson, "_euler",
+                            lambda layout, terms: eulers.append(terms) or fold(layout, terms))
         rng = helpers.seeded(505)
         triples = [tuple(helpers.random_poly(rng, ctx1) for _ in range(3)) for _ in range(4)]
         assert check_shlie_relations(omega_std, triples=triples).passed
@@ -168,11 +222,11 @@ class TestCheckRelations:
     def test_each_density_once_per_call(self, ctx1, omega_std, monkeypatch):
         # The arguments of `check shlie P1 P2 P3`: the distinct densities are
         # p, q, r, D_x q, D_x r and the three inner brackets, 8 of the 12
-        # `euler` calls that separate l2 and Jacobiator calls make.
+        # packed folds that separate l2 and Jacobiator calls make.
         eulers = []
-        euler = jetcalc.poisson.euler
-        for module in (jetcalc.shlie, jetcalc.poisson):
-            monkeypatch.setattr(module, "euler", lambda p: eulers.append(p) or euler(p))
+        fold = jetcalc.poisson._euler
+        monkeypatch.setattr(jetcalc.poisson, "_euler",
+                            lambda layout, terms: eulers.append(terms) or fold(layout, terms))
         rng = helpers.seeded(506)
         p, q, r = (helpers.random_poly(rng, ctx1) for _ in range(3))
         pairs = [(p, q), (p, r), (q, r)]

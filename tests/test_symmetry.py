@@ -4,12 +4,13 @@ from fractions import Fraction
 import gc
 import weakref
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 import jetcalc.symmetry
 from jetcalc import (
     Automorphism,
+    BundleSpec,
     CheckReport,
     FiniteGroupAction,
     Generator,
@@ -54,6 +55,9 @@ def reflection(ctx):
     return Automorphism(ctx, tuple(psi), tuple(psi))
 
 
+LEFT_CTX = BundleSpec(("x",), ("u1", "u2"))
+
+
 class TestAutomorphism:
     def test_identity(self, ctx1):
         ident = Automorphism.identity(ctx1)
@@ -76,6 +80,32 @@ class TestAutomorphism:
         u2 = parse_expr("u2", ctx1)
         with pytest.raises(ValueError):
             Automorphism(ctx1, (u1 * 2, u2), (u1 * 2, u2))
+
+    def test_valid_pair_costs_one_pullback_per_fiber(self, ctx3, monkeypatch):
+        # psi after psi_inv = id decides: psi_inv after psi = id follows.
+        auto = helpers.random_automorphism(helpers.seeded(29), ctx3, max_pieces=3)
+        calls = []
+        original = jetcalc.symmetry.pullback
+        monkeypatch.setattr(jetcalc.symmetry, "pullback",
+                            lambda p, g: calls.append(p) or original(p, g))
+        assert Automorphism(ctx3, auto.psi, auto.psi_inv) == auto
+        assert len(calls) == ctx3.m
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(helpers.near_inverse_pairs())
+    @example((LEFT_CTX, tuple(parse_expr(s, LEFT_CTX) for s in ("u1 + u2", "2*u2")),
+              tuple(parse_expr(s, LEFT_CTX) for s in ("u1 - u2", "u2"))))
+    def test_messages_match_two_sided_check(self, drawn):
+        # The first failure is named as by the fiber-by-fiber check of both
+        # sides; the example passes the right check on u1 and fails the left.
+        ctx, psi, psi_inv = drawn
+        expected = helpers.reference_automorphism_error(ctx, psi, psi_inv)
+        if expected is None:
+            Automorphism(ctx, psi, psi_inv)
+        else:
+            with pytest.raises(ValueError) as err:
+                Automorphism(ctx, psi, psi_inv)
+            assert str(err.value) == expected
 
     def test_inverse_and_compose(self, ctx1, rot90):
         shift = helpers.shear(ctx1, 0, Poly.const(ctx1, 1))

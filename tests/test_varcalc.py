@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import jetcalc.varcalc
+import jetcalc.kernel
 
 from jetcalc import (
     BundleSpec,
     DegreeError,
-    Generator,
     HorizontalForm,
     MultiIndex,
     NotExact,
@@ -222,17 +221,17 @@ class TestEuler:
 
     def test_one_total_derivative_per_prefix(self, ctx2, monkeypatch):
         # The nonempty prefixes of xxy, xy and yy are xxy, xx, x, xy, yy and y;
-        # each costs one D along its last direction.  The fold applies D_j
-        # through the kernel's derivation walk; the direction of a call is
-        # the one base coordinate its image map sends to 1.
+        # each costs one D along its last direction.  The packed fold applies
+        # D_j through its layout's lift table, one `derive_into` call per
+        # prefix, with the direction j as an argument.
         calls = []
-        derive = jetcalc.varcalc._derive_into
+        derive = jetcalc.kernel._Layout.derive_into
 
-        def counting(out, terms, image, scale):
-            calls.append([i for i in range(ctx2.n) if image(Generator.base(i)) is not None])
-            return derive(out, terms, image, scale)
+        def counting(layout, out, terms, j, scale):
+            calls.append([j])
+            return derive(layout, out, terms, j, scale)
 
-        monkeypatch.setattr(jetcalc.varcalc, "_derive_into", counting)
+        monkeypatch.setattr(jetcalc.kernel._Layout, "derive_into", counting)
         p = parse_expr("u1_xxy*u2 + u1_xy^2 + u2*u1_yy", ctx2)
         assert euler(p) == helpers.reference_euler(p)
         assert sorted(calls) == [[0], [0], [1], [1], [1], [1]]
@@ -271,6 +270,18 @@ class TestDefinitionalForms:
     @example(parse_expr("u1_x*u1_y + k*u1^2*u1_xy", CTX2))
     @example(parse_expr("u1_xxyy*u2 + u1_xy*u1_yy*u2_xyyy + u2_xyz*u1_xyz", CTX3))
     def test_euler(self, p):
+        assert euler(p) == helpers.reference_euler(p)
+
+    @pytest.mark.parametrize("text, chart", [
+        ("u1^6*u2_x", CHARTS[0]), ("u1^7 + u1^6*u2_x", CHARTS[0]),
+        ("u1^7*u2_x", CHARTS[0]), ("(u1*u2_x)^8", CHARTS[0]),
+        ("u1_x^8 + u1^7*u2_x", CHARTS[0]), ("u2_xx^15 + k*u1^7*u1_x^7", CHARTS[0]),
+        ("u2_xx^16", CHARTS[0]), ("u1_xy^7 + x*y*u2_y^8", CTX2)])
+    def test_euler_at_slot_width_edge(self, text, chart):
+        # deg P bounds the packed fold: degrees 7 and 15 give slots of width
+        # 3 and 4, which u1^7 and u2_xx^15 fill; 8 and 16 need one bit more,
+        # which u1_x^8 and u2_xx^16 fill.
+        p = parse_expr(text, chart)
         assert euler(p) == helpers.reference_euler(p)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
