@@ -426,7 +426,13 @@ class _Layout:
     has degree below deg P, so deg P bounds the Euler operator, and 2 deg
     omega + deg p + deg q + deg r the Jacobiator: an inner bracket has
     degree at most deg omega + deg p + deg q - 2, and the Jacobiator 4 less
-    than the bound.
+    than the bound.  The D_x peel of h (`varcalc._peel`) needs deg h + 1: the
+    coefficient of u^a_k in a remainder has degree at most one less than the
+    remainder, and its antiderivative in u^a_{k-1} at most that of the
+    remainder; D_x never raises the degree, so every remainder and every
+    piece stays within deg h, and only the last antiderivative, in x,
+    reaches deg h + 1 (x^7 needs width 4, not 3).  Inside a Jacobiator's
+    layout the bound is at least deg J + 4, so it covers the peel of J.
 
     D_j acts on a key through the lift table: the slot of x^j loses one, that
     of u^a_J loses one while the slot of u^a_{J+j} gains one, and every other

@@ -20,7 +20,7 @@ divergence, which is the exactness that the sh-Lie correction l3 inverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .kernel import (BundleSpec, ChartMismatch, CheckReport, JetcalcError, Poly, _common_den,
@@ -47,10 +47,13 @@ class OmegaSpec:
     have the same generators, so the first failure is that of a pass over
     every ordered pair.  A pair of zero entries cannot fail and is skipped.
     A failure raises NonSkew or EntryNotOrderZero, so every `OmegaSpec` in
-    hand is admissible."""
+    hand is admissible.  `degree`, the largest total degree of an entry, is
+    computed once here for the layouts of the brackets; it is not compared,
+    hashed or printed."""
 
     ctx: BundleSpec
     entries: tuple[tuple[Poly, ...], ...]
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ctx, entries = self.ctx, self.entries
@@ -71,6 +74,8 @@ class OmegaSpec:
                 for g in upper.generators():
                     if g.is_base or (g.is_jet and g.order > 0):
                         raise EntryNotOrderZero(f"omega[{x},{y}] depends on {g.name(ctx)}")
+        object.__setattr__(self, "degree", max(entry.total_degree()
+                                               for row in entries for entry in row))
 
     def entry(self, a: int, b: int) -> Poly:
         return self.entries[a][b]
@@ -128,17 +133,13 @@ def _same_charts(omega: OmegaSpec, densities: Iterable[Poly]) -> None:
         _same_chart(omega.ctx, density.ctx, "density over a different chart than omega")
 
 
-def _degree(omega: OmegaSpec) -> int:
-    """The largest total degree of an entry of omega."""
-    return max(entry.total_degree() for row in omega.entries for entry in row)
-
-
 def _packed_omega(layout: _Layout, omega: OmegaSpec) -> _Omega:
     """omega's nonzero entries as (a, b, packed map), over their least common
-    denominator."""
-    m = omega.ctx.m
-    maps, den = layout.pack_over(entry for row in omega.entries for entry in row)
-    return [(a, b, maps[a * m + b]) for a in range(m) for b in range(m) if maps[a * m + b]], den
+    denominator; the zero entries are not packed."""
+    support = [(a, b, entry) for a, row in enumerate(omega.entries)
+               for b, entry in enumerate(row) if entry]
+    maps, den = layout.pack_over(entry for _, _, entry in support)
+    return [(a, b, w) for (a, b, _), w in zip(support, maps)], den
 
 
 def _euler_vector(layout: _Layout, density: Poly) -> _Vector:
@@ -175,7 +176,7 @@ def l2_density(p: Poly, q: Poly, omega: OmegaSpec) -> Poly:
     """Bracket density omega^{ab} E_a(p) E_b(q), paired in one layout bounded
     by deg omega + deg p + deg q."""
     _same_charts(omega, (p, q))
-    layout = _Layout(omega.ctx, _degree(omega) + p.total_degree() + q.total_degree())
+    layout = _Layout(omega.ctx, omega.degree + p.total_degree() + q.total_degree())
     pairs = ((_euler_vector(layout, p), _euler_vector(layout, q)),)
     return layout.unpack(*_pairing(_packed_omega(layout, omega), pairs))
 
@@ -201,7 +202,7 @@ def _jacobiator_bound(omega: OmegaSpec, p: Poly, q: Poly, r: Poly) -> int:
     """A degree bound for the Jacobiator's layout: 2 deg omega + deg p +
     deg q + deg r.  An inner bracket has degree at most deg omega + deg p +
     deg q - 2, and the Jacobiator at most 4 less than the bound."""
-    return 2 * _degree(omega) + p.total_degree() + q.total_degree() + r.total_degree()
+    return 2 * omega.degree + p.total_degree() + q.total_degree() + r.total_degree()
 
 
 def jacobiator(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> Poly:
@@ -209,23 +210,32 @@ def jacobiator(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> Poly:
 
     l2(l2(p,q), r) - l2(l2(p,r), q) + l2(l2(q,r), p),
 
-    computed in one layout (`_jacobiator`).
+    computed in one layout (`_packed_jacobiator`) and unpacked once.
     """
+    layout, terms, den = _packed_jacobiator(p, q, r, omega)
+    return layout.unpack(terms, den)
+
+
+def _packed_jacobiator(p: Poly, q: Poly, r: Poly,
+                       omega: OmegaSpec) -> tuple[_Layout, dict[int, int], int]:
+    """The Jacobiator's layout, bounded by `_jacobiator_bound`, and its
+    packed numerators and denominator there (`_jacobiator`)."""
     _same_charts(omega, (p, q, r))
     layout = _Layout(omega.ctx, _jacobiator_bound(omega, p, q, r))
-    return _jacobiator(layout, _packed_omega(layout, omega),
-                       *(_euler_vector(layout, density) for density in (p, q, r)))
+    return layout, *_jacobiator(layout, _packed_omega(layout, omega),
+                                *(_euler_vector(layout, density) for density in (p, q, r)))
 
 
-def _jacobiator(layout: _Layout, omega: _Omega, ep: _Vector, eq: _Vector, er: _Vector) -> Poly:
-    """The Jacobiator from the packed Euler vectors of its three densities.
+def _jacobiator(layout: _Layout, omega: _Omega, ep: _Vector, eq: _Vector,
+                er: _Vector) -> tuple[dict[int, int], int]:
+    """The Jacobiator from the packed Euler vectors of its three densities,
+    as packed numerators without zeros and their denominator.
 
-    Everything stays packed in `layout` between steps: the three inner
-    brackets, their three Euler vectors and the outer pairings, each a sum
-    of products by key addition.  Only the Jacobiator is unpacked.  omega is
-    skew, so -l2(l2(p,r), q) is l2(q, l2(p,r)), and the outer brackets are
-    one signless sum of pairings.
+    Everything stays packed in `layout`: the three inner brackets, their
+    three Euler vectors and the outer pairings, each a sum of products by
+    key addition.  omega is skew, so -l2(l2(p,r), q) is l2(q, l2(p,r)), and
+    the outer brackets are one signless sum of pairings.
     """
     pq, pr, qr = ((_euler(layout, t), den) for t, den in
                   (_pairing(omega, ((x, y),)) for x, y in ((ep, eq), (ep, er), (eq, er))))
-    return layout.unpack(*_pairing(omega, ((pq, er), (eq, pr), (qr, ep))))
+    return _pairing(omega, ((pq, er), (eq, pr), (qr, ep)))

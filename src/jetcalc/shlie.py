@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .kernel import CheckReport, Poly, _Layout
-from .poisson import (OmegaSpec, _degree, _euler_vector, _jacobiator, _jacobiator_bound,
-                      _packed_omega, _pairing, _same_charts, _Vector, jacobiator,
+from .poisson import (OmegaSpec, _euler_vector, _jacobiator, _jacobiator_bound,
+                      _packed_jacobiator, _packed_omega, _pairing, _same_charts, _Vector,
                       l2_density)
-from .varcalc import DegreeError, HorizontalForm, Unsupported, d_h, homotopy_s
+from .varcalc import DegreeError, HorizontalForm, Unsupported, _peel, d_h
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,21 @@ def l3(p: Poly, q: Poly, r: Poly, omega: OmegaSpec) -> GradedElement:
     Only available over a one-dimensional base; raises NotExact when the
     Jacobiator is not a total derivative (omega failing the Jacobi identity).
     The Jacobiator is computed once, from one Euler computation per density
-    and per inner bracket.
+    and per inner bracket, and peeled (`varcalc._peel`) packed, in its own
+    layout, whose bound exceeds the Jacobiator's degree by at least 4 and so
+    covers the peel.  Only s(J) = -g is unpacked.
     """
     if omega.ctx.n != 1:
         raise Unsupported("l3 is implemented over a one-dimensional base")
-    return GradedElement(1, homotopy_s(HorizontalForm.density(jacobiator(p, q, r, omega))))
+    return GradedElement(1, _homotopy(*_packed_jacobiator(p, q, r, omega)))
+
+
+def _homotopy(layout: _Layout, terms: dict[int, int], den: int) -> HorizontalForm:
+    """s(J dx) = -g, where D_x g = J, for the packed numerators of J over
+    `den` (consumed): `homotopy_s` with J peeled in its own layout and only
+    -g unpacked."""
+    g, den = _peel(layout, terms, den)
+    return HorizontalForm.scalar(layout.unpack({key: -c for key, c in g.items()}, den))
 
 
 def check_shlie_relations(omega: OmegaSpec,
@@ -100,8 +110,8 @@ def check_shlie_relations(omega: OmegaSpec,
     residuals are reported at `pair[k]` and `triple[k]`.  The call runs in
     one packed layout, bounded as the largest of its brackets and
     Jacobiators: each distinct density's Euler components are computed once
-    per call and kept packed, each triple's Jacobiator once, and l3 is the
-    homotopy applied to that Jacobiator.
+    per call and kept packed, each triple's Jacobiator once, and l3 is that
+    Jacobiator peeled packed in the same layout, as in `l3`.
     """
     if triples and omega.ctx.n != 1:
         raise Unsupported("l3 is implemented over a one-dimensional base")
@@ -112,7 +122,7 @@ def check_shlie_relations(omega: OmegaSpec,
         _same_charts(omega, brackets[-1])
     for triple in triples:
         _same_charts(omega, triple)
-    degree = _degree(omega)
+    degree = omega.degree
     layout = _Layout(omega.ctx, max([degree + f.total_degree() + dg.total_degree()
                                      for f, dg in brackets]
                                     + [_jacobiator_bound(omega, *triple) for triple in triples],
@@ -131,7 +141,8 @@ def check_shlie_relations(omega: OmegaSpec,
         residuals.append((f"pair[{k}]", layout.unpack(
             *_pairing(packed_omega, ((euler_once(f), euler_once(dg)),)))))
     for k, (p, q, r) in enumerate(triples):
-        jac = _jacobiator(layout, packed_omega, euler_once(p), euler_once(q), euler_once(r))
-        correction = d_h(homotopy_s(HorizontalForm.density(jac))).density_coefficient()
+        terms, den = _jacobiator(layout, packed_omega, *map(euler_once, (p, q, r)))
+        jac = layout.unpack(terms, den)
+        correction = d_h(_homotopy(layout, terms, den)).density_coefficient()
         residuals.append((f"triple[{k}]", jac + correction))
     return CheckReport.of(residuals)

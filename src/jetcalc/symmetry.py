@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 from .kernel import (BundleSpec, CheckReport, Generator, JetcalcError, MultiIndex, Poly,
                      _Layout, _same_chart)
-from .poisson import OmegaSpec, _degree, _packed_omega, _pairing, l2_density
+from .poisson import OmegaSpec, _packed_omega, _pairing, l2_density
 from .varcalc import HorizontalForm, d_h, euler, iterated_total_derivative
 
 
@@ -174,8 +174,8 @@ def check_covariance(omega: OmegaSpec, auto: Automorphism) -> CheckReport:
     ctx = omega.ctx
     _same_chart(ctx, auto.ctx, "automorphism over a different chart")
     jacobian = _jacobian(auto)
-    layout = _Layout(ctx, _degree(omega) + 2 * max(d.total_degree() for row in jacobian
-                                                   for d in row))
+    layout = _Layout(ctx, omega.degree + 2 * max(d.total_degree() for row in jacobian
+                                                 for d in row))
     packed_omega = _packed_omega(layout, omega)
     rows = [layout.pack_over(row) for row in jacobian]
     return CheckReport.of(

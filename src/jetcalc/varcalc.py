@@ -12,11 +12,11 @@ operator of a density P is
     E_a(P) = sum over distinct sorted multi-indices I of
              (-1)^|I| D_I (dP/du^a_I).
 
-D_i is a derivation, so it is applied in one walk over the terms
-(`Poly.derivation`): each power g^e contributes e * g^(e-1) times the image of
-g, which is 1 for x^i and the lifted coordinate u^a_{J+i} for u^a_J.  The
-Euler sum is evaluated in nested (Horner) form over the trie of occurring
-multi-indices: with
+D_i is a derivation, so it is applied in one walk over the packed terms of a
+kernel `_Layout` (`_Layout.derive_into`): each power g^e contributes
+e * g^(e-1) times the image of g, which is 1 for x^i and the lifted
+coordinate u^a_{J+i} for u^a_J.  The Euler sum is evaluated in nested
+(Horner) form over the trie of occurring multi-indices: with
 
     T(I) = dP/du^a_I - sum over j >= last(I) of D_j T(I+j),
 
@@ -29,17 +29,23 @@ and reduces each component once; the bracket pairings and the Jacobiator
 (`poisson`) keep the components packed in their own layout.
 
 A polynomial density over a one-dimensional base is a total derivative if and
-only if all its Euler components vanish; `invert_total_derivative` produces
-the preimage in that case by peeling one jet order at a time.
+only if all its Euler components vanish; the preimage in that case is found
+by peeling one jet order at a time.  The peel (`_peel`) runs in packed
+exponents as well: the remainder is one map from keys to integer numerators
+over a running common denominator, and each D_x(piece) is subtracted from
+it in place.  `invert_total_derivative` packs h once, in a layout bounded by
+deg h + 1, and unpacks g once; `shlie.l3` peels the Jacobiator in the
+Jacobiator's own layout, which has room to spare.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping
 
-from .kernel import (_JET, UNIT, BundleSpec, Generator, JetcalcError, Monomial, MultiIndex,
-                     Poly, _common_den, _derive_into, _Layout, _max_order, _same_chart)
+from .kernel import (_JET, BundleSpec, Generator, JetcalcError, MultiIndex, Poly, _common_den,
+                     _Layout, _same_chart)
 
 
 class DegreeError(JetcalcError):
@@ -62,27 +68,17 @@ def _direction(ctx: BundleSpec, direction: int | str) -> int:
     return direction
 
 
-def _lift(i: int) -> Callable[[Generator], Monomial | None]:
-    """The image map of D_i: x^i to 1, u^a_J to u^a_{J+i}, others to zero."""
-    images: dict[Generator, Monomial] = {Generator.base(i): UNIT}
-
-    def image(g: Generator) -> Monomial | None:
-        m = images.get(g)
-        if m is None and g.kind == _JET:
-            m = images[g] = Monomial._canonical(((Generator.jet(g.pos, g.index.extended(i)), 1),))
-        return m
-
-    return image
-
-
 def total_derivative(p: Poly, direction: int | str) -> Poly:
     """Apply the total derivative D_i, raising each jet order by one.
 
     D_i is the derivation sending x^i to 1 and u^a_J to u^a_{J+i}; it is
-    applied in one walk over the terms, with each lifted jet coordinate
-    built once per call.
+    applied in one walk over the packed terms (`_Layout.derive_into`), in a
+    layout bounded by deg p, since a derivation never raises the degree.
     """
-    return p.derivation(_lift(_direction(p.ctx, direction)))
+    layout = _Layout(p.ctx, p.total_degree())
+    out: dict[int, int] = {}
+    layout.derive_into(out, layout.pack(p._terms), _direction(p.ctx, direction), 1)
+    return layout.unpack(out, p._den)
 
 
 def iterated_total_derivative(p: Poly, index: MultiIndex) -> Poly:
@@ -260,46 +256,94 @@ def is_divergence(p: Poly) -> bool:
     return not any(_euler(layout, layout.pack(p._terms)))
 
 
-def invert_total_derivative(h: Poly) -> Poly:
-    """Produce g with D_x g = h over a one-dimensional base, if possible.
+def _occurring(layout: _Layout, terms: dict[int, int]) -> list[Generator]:
+    """The generators of a packed map: the nonzero slots of its keys' union."""
+    occupied = 0
+    for key in terms:
+        occupied |= key
+    return [g for g, _, _ in layout.factors(occupied)]
+
+
+def _antiderivative(layout: _Layout, terms: dict[int, int], den: int,
+                    g: Generator) -> tuple[dict[int, int], int]:
+    """The antiderivative in g of packed numerators over `den`, with no
+    constant of integration, over den * lcm(e + 1), as `Poly.antiderivative`."""
+    s, mask = layout.slot(g), layout.mask
+    common = 1
+    for key in terms:
+        common = lcm(common, (key >> s & mask) + 1)
+    one = 1 << s
+    return {key + one: c * (common // ((key >> s & mask) + 1))
+            for key, c in terms.items()}, den * common
+
+
+def _peel(layout: _Layout, terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """The packed numerators, and their denominator, of the g with D_x g = h
+    and zero constant term, for the packed numerators `terms` of h over
+    `den` in a layout over a one-dimensional base.  `terms` is the running
+    remainder and is consumed.
 
     Peels the top jet order k: an exact h is affine-linear in the order-k
     coordinates, and the coefficient of u^a_k is dg/du^a_{k-1}, which is
-    antidifferentiated and stripped one fiber at a time.  The terminal
-    remainder must be a polynomial in x alone.  The result is normalised to
-    zero constant term.  Raises NotExact when any stage fails.  The remainder
-    is one integer map over a running common denominator, as in `Poly.sum`,
-    and each D_x(piece) is subtracted from it in place.
+    antidifferentiated and stripped one fiber at a time, D_x(piece) being
+    subtracted from the remainder in place.  The terminal remainder must be
+    a polynomial in x alone, and its antiderivative in x is the last piece.
+    The pieces are summed over their least common denominator, where a
+    numerator may cancel to zero (`_Layout.unpack` drops it), and key 0 is
+    dropped.  Raises NotExact when any stage fails.  The layout must bound
+    deg h + 1 (`_Layout`).
     """
-    ctx = h.ctx
-    if ctx.n != 1:
-        raise Unsupported("invert_total_derivative requires a one-dimensional base")
-    pieces = []
-    terms, den = dict(h._terms), h._den
+    mask = layout.mask
+    out: dict[int, int] = {}
+    out_den = 1
+
+    def add(piece: dict[int, int], piece_den: int) -> None:
+        nonlocal out_den
+        out_den, scale = _common_den(out, out_den, piece_den)
+        for key, c in piece.items():
+            out[key] = out.get(key, 0) + c * scale
+
     while terms:
-        k = _max_order(terms)
+        gens = _occurring(layout, terms)
+        k = max((g.order for g in gens), default=0)
         if k == 0:
-            if any(g.kind == _JET for mono in terms for g, _ in mono.powers):
+            if any(g.kind == _JET for g in gens):
                 raise NotExact("terminal remainder still depends on fiber coordinates")
-            pieces.append(Poly._reduced(ctx, terms, den).antiderivative(Generator.base(0)))
+            add(*_antiderivative(layout, terms, den, Generator.base(0)))
             break
-        for a in range(ctx.m):
-            coeff = _derive_into({}, terms, {Generator.jet(a, MultiIndex((0,) * k)): UNIT}.get, 1)
+        for a in range(layout.ctx.m):
+            s = layout.shift.get(Generator.jet(a, MultiIndex((0,) * k)))
+            if s is None:
+                continue
+            coeff = {key - (1 << s): c * e for key, c in terms.items() if (e := key >> s & mask)}
             if not coeff:
                 continue
             # Stripping D(piece) adds only terms affine in order k, so a
             # non-affine term is still here when its first fiber comes up.
-            if _max_order(coeff) == k:
+            if any(g.order == k for g in _occurring(layout, coeff)):
                 raise NotExact(f"not affine-linear in jet coordinates of order {k}")
-            piece = Poly._reduced(ctx, coeff, den).antiderivative(
-                Generator.jet(a, MultiIndex((0,) * (k - 1))))
-            pieces.append(piece)
-            den, scale = _common_den(terms, den, piece._den)
-            _derive_into(terms, piece._terms, _lift(0), -scale)
-        if terms and _max_order(terms) >= k:
+            piece, piece_den = _antiderivative(layout, coeff, den,
+                                               Generator.jet(a, MultiIndex((0,) * (k - 1))))
+            add(piece, piece_den)
+            den, scale = _common_den(terms, den, piece_den)
+            layout.derive_into(terms, piece, 0, -scale)
+        if terms and any(g.order >= k for g in _occurring(layout, terms)):
             raise NotExact(f"integrability failure at jet order {k}")
-    result = Poly.sum(ctx, pieces)
-    return result - Poly.const(ctx, result.constant_term())
+    out.pop(0, None)
+    return out, out_den
+
+
+def invert_total_derivative(h: Poly) -> Poly:
+    """Produce g with D_x g = h over a one-dimensional base, if possible.
+
+    h is packed once into a layout bounded by deg h + 1, peeled (`_peel`),
+    and g unpacked once; g has zero constant term.  Raises NotExact when h
+    is not a total derivative.
+    """
+    if h.ctx.n != 1:
+        raise Unsupported("invert_total_derivative requires a one-dimensional base")
+    layout = _Layout(h.ctx, h.total_degree() + 1)
+    return layout.unpack(*_peel(layout, layout.pack(h._terms), h._den))
 
 
 def homotopy_s(form: HorizontalForm) -> HorizontalForm:

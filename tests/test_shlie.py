@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import jetcalc.kernel
 import jetcalc.poisson
 import jetcalc.shlie
 from jetcalc import (
@@ -159,6 +160,34 @@ class TestL3:
         assert jac == helpers.reference_jacobiator(p, q, r, omega)
         if omega.ctx.n == 1:
             assert (jac + d_h(l3(p, q, r, omega).form).density_coefficient()).is_zero
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(LINE_OMEGAS).flatmap(
+        lambda omega: st.tuples(st.just(omega),
+                                *(helpers.densities(omega.ctx, 2) for _ in range(3)))))
+    @example(_triple(LINE_OMEGAS[0], "u1*u1_x^2 + 2*u1*u1_xx - 1/2*x*u1*u2",
+                     "u1^2*u1_x - u2_x^2 + 3*u1", "2*u1_xx - u1^2*u2"))
+    def test_matches_reference_homotopy(self, drawn):
+        # The packed peel in the Jacobiator's layout against the Monomial
+        # peel of the nested reference Jacobiator.
+        omega, p, q, r = drawn
+        reference = helpers.reference_invert_total_derivative(
+            helpers.reference_jacobiator(p, q, r, omega))
+        assert l3(p, q, r, omega).form.scalar_coefficient() == -reference
+
+    def test_unpacks_only_the_corrector(self, ctx1, omega_std, monkeypatch):
+        # One packed fold per density and per inner bracket, and the
+        # Jacobiator is peeled packed: the one unpacked map is -g.
+        eulers, unpacked = [], []
+        fold, unpack = jetcalc.poisson._euler, jetcalc.kernel._Layout.unpack
+        monkeypatch.setattr(jetcalc.poisson, "_euler",
+                            lambda layout, terms: eulers.append(terms) or fold(layout, terms))
+        monkeypatch.setattr(jetcalc.kernel._Layout, "unpack",
+                            lambda *args: unpacked.append(unpack(*args)) or unpacked[-1])
+        p, q, r = (parse_expr(text, ctx1) for text in ("u1*u2_x", "u1*u2", "u1^2"))
+        assert l3(p, q, r, omega_std).form.scalar_coefficient() == parse_expr("-2*u1^2", ctx1)
+        assert len(eulers) == 6
+        assert unpacked == [parse_expr("-2*u1^2", ctx1)]
 
     def test_two_dim_unsupported(self, ctx2):
         omega = omega_from(ctx2, (("0", "1"), ("-1", "0")))

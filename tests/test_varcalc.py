@@ -349,6 +349,27 @@ class TestInvertTotalDerivative:
         with pytest.raises(Unsupported):
             invert_total_derivative(parse_expr("u1_x", ctx2))
 
+    @pytest.mark.parametrize("text, expected", [
+        ("x^7", "1/8*x^8"), ("x^15", "1/16*x^16"),
+        ("1/3*u1_x*u1^6 + x^3", "1/21*u1^7 + 1/4*x^4"),
+        ("k*u1_x*u2 + k*u1*u2_x + 2*k*x", "k*u1*u2 + k*x^2")])
+    def test_packed_peel_goldens(self, text, expected):
+        # The layout is bounded by deg h + 1: only the last antiderivative in
+        # x reaches it, so x^7 and x^15 need widths 4 and 5, not 3 and 4.
+        # A declared param is a constant of D_x.
+        h = parse_expr(text, CHARTS[0])
+        assert invert_total_derivative(h) == parse_expr(expected, CHARTS[0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("u1_x*u2_x", "not affine-linear in jet coordinates of order 1"),
+        ("u1_x^2", "not affine-linear in jet coordinates of order 1"),
+        ("u1*u2_x", "integrability failure at jet order 1"),
+        ("u1", "terminal remainder still depends on fiber coordinates")])
+    def test_not_exact_message(self, ctx1, text, message):
+        with pytest.raises(NotExact) as info:
+            invert_total_derivative(parse_expr(text, ctx1))
+        assert str(info.value) == message
+
     # Single terms that are not total derivatives: each has a nonzero Euler
     # component.
     NEAR_MISSES = ("u1", "x*u2", "u1*u2_x", "u1_x^2", "u1^2*u2_xx", "u1_xx^2*u2", "x*u1_x^2")
