@@ -48,8 +48,9 @@ class OmegaSpec:
     every ordered pair.  A pair of zero entries cannot fail and is skipped.
     A failure raises NonSkew or EntryNotOrderZero, so every `OmegaSpec` in
     hand is admissible.  `degree`, the largest total degree of an entry, is
-    computed once here for the layouts of the brackets; it is not compared,
-    hashed or printed."""
+    computed once here for the layouts of the brackets, over the nonzero
+    pairs only (a skew pair's entries have the same degree); it is not
+    compared, hashed or printed."""
 
     ctx: BundleSpec
     entries: tuple[tuple[Poly, ...], ...]
@@ -63,6 +64,7 @@ class OmegaSpec:
         for row in entries:
             for entry in row:
                 _same_chart(ctx, entry.ctx, "omega entry over a different chart")
+        degree = 0
         for a, row in enumerate(entries):
             for b in range(a, m):
                 upper, lower = row[b], entries[b][a]
@@ -74,8 +76,8 @@ class OmegaSpec:
                 for g in upper.generators():
                     if g.is_base or (g.is_jet and g.order > 0):
                         raise EntryNotOrderZero(f"omega[{x},{y}] depends on {g.name(ctx)}")
-        object.__setattr__(self, "degree", max(entry.total_degree()
-                                               for row in entries for entry in row))
+                degree = max(degree, upper.total_degree())
+        object.__setattr__(self, "degree", degree)
 
     def entry(self, a: int, b: int) -> Poly:
         return self.entries[a][b]

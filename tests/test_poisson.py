@@ -137,6 +137,17 @@ class TestOmegaSpec:
         for omega in (omega_std, omega_so3, omega_affine):
             assert OmegaSpec(omega.ctx, omega.entries) == omega
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(helpers.near_skew_omegas())
+    def test_degree_is_the_largest_entry_degree(self, drawn):
+        # the nonzero pairs alone give the degree of every entry
+        ctx, rows = drawn
+        try:
+            omega = OmegaSpec(ctx, rows)
+        except (NonSkew, EntryNotOrderZero):
+            return
+        assert omega.degree == max(entry.total_degree() for row in rows for entry in row)
+
     def test_validate_rejects_non_skew(self, ctx1):
         with pytest.raises(NonSkew, match=r"^omega\[u1,u2\] != -omega\[u2,u1\]$"):
             omega_from(ctx1, (("0", "1"), ("1", "0")))
